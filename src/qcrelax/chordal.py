@@ -200,3 +200,13 @@ def overlap_set(cs: CliqueSet) -> OverlapSet:
         for u, v in zip(owners, owners[1:]):
             entries.add((i, j, u, v))
     return OverlapSet(frozenset(entries))
+
+
+def chordal_parts(pattern):
+    """(extension, cliques, overlaps) of a sparsity pattern, as build_ssdp takes them.
+
+    `pattern` is anything with `dim` and `edges`, such as an AggregatePattern.
+    """
+    ext = chordal_extension(Graph(pattern.dim, pattern.edges))
+    cs = maximal_cliques(ext)
+    return ext, cs, overlap_set(cs)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import build
-from .chordal import Graph, chordal_extension, maximal_cliques, overlap_set
+from .chordal import chordal_parts
 from .completion import PartialMatrix, zero_fill
 from .generators import LatticeSpec, ZeroDiagSpec, gen_lattice, gen_zero_diag
 from .model import (
@@ -26,11 +26,10 @@ from .model import (
     save_instance,
 )
 from .program import (
-    _lower_dual,
-    _lower_primal,
     export_sdpa,
     program_objective,
     standard_form_to_json,
+    to_standard_form,
     variable_values,
 )
 from .solver import SolverConfig, solve
@@ -53,12 +52,11 @@ def _default_tol() -> float:
         raise SystemExit(f"invalid CONIC_SOLVER_TOL value {env!r}")
 
 
-def _build_relaxation(name, data, pattern, chordal_parts):
+def _build_relaxation(name, data, pattern):
     if name == "fsdp":
         return build.build_fsdp(data)
     if name == "ssdp":
-        ext, cs, u = chordal_parts
-        return build.build_ssdp(data, ext, cs, u)
+        return build.build_ssdp(data, *chordal_parts(pattern))
     if name == "fsocp":
         return build.build_fsocp(data)
     if name == "ssocp":
@@ -70,20 +68,12 @@ def _build_relaxation(name, data, pattern, chordal_parts):
     raise ValueError(f"unknown relaxation {name!r}")
 
 
-def _chordal_parts(pattern):
-    g = Graph(pattern.dim, pattern.edges)
-    ext = chordal_extension(g)
-    cs = maximal_cliques(ext)
-    return ext, cs, overlap_set(cs)
-
-
 def _run_one(inst_path, relax, form, tol):
     inst = load_instance(inst_path)
     data = homogenize(inst)
     pattern = aggregate_pattern(data)
-    parts = _chordal_parts(pattern) if relax == "ssdp" else None
-    prog = _build_relaxation(relax, data, pattern, parts)
-    sf = _lower_primal(prog) if form == "P" else _lower_dual(prog)
+    prog = _build_relaxation(relax, data, pattern)
+    sf = to_standard_form(prog, form)
     cfg = SolverConfig(tol_gap=tol, tol_primal=tol, tol_dual=tol)
     t0 = time.perf_counter()
     sol = solve(sf, cfg)
@@ -278,9 +268,8 @@ def cmd_export(args) -> int:
     inst = load_instance(args.instance)
     data = homogenize(inst)
     pattern = aggregate_pattern(data)
-    parts = _chordal_parts(pattern) if args.relax == "ssdp" else None
-    prog = _build_relaxation(args.relax, data, pattern, parts)
-    sf = _lower_primal(prog)
+    prog = _build_relaxation(args.relax, data, pattern)
+    sf = to_standard_form(prog, "P")
     if args.format == "sdpa":
         if args.relax not in ("fsdp", "ssdp"):
             print("error: sdpa export needs a pure-SDP relaxation", file=sys.stderr)

@@ -104,8 +104,7 @@ class ConeLayout:
             a = dd[:, 0] ** 2 - np.sum(dd[:, 1:] ** 2, axis=1)
             bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
             cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
-            for k in range(zz.shape[0]):
-                alpha = min(alpha, _soc_boundary_step(a[k], bq[k], cq[k], zz[k, 0], dd[k, 0]))
+            alpha = min(alpha, float(np.min(_soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0]))))
         for start, side in self.psd_blocks:
             L = side * (side + 1) // 2
             Z = smat(z[start : start + L], side)
@@ -131,23 +130,26 @@ class ConeLayout:
         return Scaling(self, x, s)
 
 
-def _soc_boundary_step(a, b, c, z0, d0):
-    """Smallest t > 0 where z + t*d leaves a second-order cone.
+def _soc_boundary_steps(a, b, c, z0, d0):
+    """Per cone, the smallest t > 0 where z + t*d leaves a second-order cone.
 
-    (a, b, c) are the quadratic coefficients of det(z + t*d); c > 0 and
-    z0 > 0 at a strictly interior point, so the cone is left exactly when
-    the determinant first hits zero (the head stays positive until then).
+    (a, b, c) are arrays of the quadratic coefficients of det(z + t*d);
+    c > 0 and z0 > 0 at a strictly interior point, so a cone is left
+    exactly when its determinant first hits zero (the head stays positive
+    until then).  The roots are taken as q/a and c/q with
+    q = -(b + sign(b) sqrt(disc)) / 2, which never subtracts nearly equal
+    numbers; for a = 0 the second one is the linear root -c/b.  A cone
+    with no positive root gives inf.
     """
-    roots = []
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    elif b != 0.0:
-        roots = [-c / b]
-    pos = [t for t in roots if t > 0.0 and z0 + t * d0 >= -1e-14 * max(1.0, abs(z0))]
-    return min(pos) if pos else np.inf
+    disc = b * b - 4.0 * a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.where(b >= 0.0, 1.0, -1.0) * np.sqrt(np.maximum(disc, 0.0)))
+        roots = np.stack(
+            [np.where(a != 0.0, q / a, np.inf), np.where(q != 0.0, c / q, np.inf)]
+        )
+        ok = (roots > 0.0) & (z0 + roots * d0 >= -1e-14 * np.maximum(1.0, np.abs(z0)))
+    ok &= disc >= 0.0
+    return np.min(np.where(ok, roots, np.inf), axis=0)
 
 
 class Scaling:
@@ -310,7 +312,7 @@ class Scaling:
             out[start : start + L] = svec((U + U.T) / 2.0)
         return out
 
-    # -- matrix scaling for the normal equations --------------------------------
+    # -- KKT assembly: B = A W -----------------------------------------------------
 
     def scale_columns(self, A: sp.csr_matrix) -> sp.csr_matrix:
         """Return B = A W restricted to cone columns (free columns zeroed).

@@ -7,16 +7,19 @@ step.  K may mix NonNeg, SecondOrder and Psd blocks; Zero blocks (which
 only the (D) lowering produces) are treated as free coordinates whose
 dual slack is pinned at zero.
 
-The Newton systems are reduced to the normal equations M = A H A' and
-solved through a sparse LU of the (optionally augmented) system, with a
-small diagonal ridge plus one step of iterative refinement to cope with
-rank-deficient rows such as redundant pinning constraints.
+Each Newton system is solved through a sparse LU of the scaled
+augmented KKT system (see _KktSolver), with iterative refinement, and
+with a small diagonal ridge only when a factorization fails outright
+(for example on rank-deficient rows such as redundant pinning
+constraints).  The fill-reducing ordering of those factors is chosen
+once per solve (see _Ordering).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +31,17 @@ from .program import StandardForm
 #: tau/kappa ratio below which the embedding is read as an infeasibility certificate
 INFEASIBILITY_RATIO = 1e-10
 
-#: diagonal ridge added to the normal equations, relative to their scale
+#: first diagonal ridge added to the equilibrated KKT matrix when its factorization fails
 RIDGE = 1e-12
+
+#: a symmetric MMD ordering is cached only if it at most halves COLAMD's factor nnz
+MMD_GAIN = 0.5
+
+#: factorizations made with COLAMD before the ordering is chosen
+ORDER_AFTER = 2
+
+#: SuperLU settings for a symmetric ordering: prefer diagonal pivots
+_SYMMETRIC = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -92,11 +104,78 @@ def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
     return A[keep], b[keep], keep
 
 
+class _Ordering:
+    """Column ordering of the KKT factors, chosen once per solve.
+
+    SuperLU's default COLAMD orders for the pattern of K'K.  When a
+    constraint row is dense (F-SOCP), that pattern is nearly full, while a
+    symmetric minimum-degree ordering of K + K' keeps the factors sparse.
+    Fill is measured as the factor's stored L and U entries (`lu.nnz`),
+    which SuperLU reports without copying the factors.
+
+    The first ORDER_AFTER factorizations use COLAMD: at the starting point
+    W is diagonal and the KKT pattern is sparser than in later iterations.
+    The next one decides.  If COLAMD's fill is below 2 nnz(K), no ordering
+    can halve it (the factors contain the pattern of K) and COLAMD is kept
+    without a trial.  Otherwise the matrix is also factored with MMD on
+    K + K' and diagonal pivots preferred; that ordering is kept if it at
+    most halves COLAMD's fill.  Its permutation is then cached, because
+    computing it costs more than a numeric factorization, and every later
+    matrix is factored symmetrically permuted in that order.
+
+    The (2,2) block of K is zero, so off-diagonal pivots can make the
+    cached ordering fill in more than COLAMD did.  If a cached-order
+    factor ever exceeds COLAMD's fill at the decision, the rest of the
+    solve goes back to COLAMD.
+    """
+
+    def __init__(self):
+        self.calls = 0
+        self.limit = None  # COLAMD's fill at the decision; None before it
+        self.order = None  # cached permutation o: later factors are of K[o][:, o]
+
+    def factor(self, mat):
+        """Factor mat; return a function that solves mat x = r."""
+        self.calls += 1
+        o = self.order
+        if o is not None:
+            lu = spla.splu(mat[o][:, o], permc_spec="NATURAL", **_SYMMETRIC)
+            if lu.nnz <= self.limit:
+                return partial(_permuted_solve, lu, o)
+            self.order = None  # fill guard
+        lu = spla.splu(mat)
+        if self.limit is None and self.calls > ORDER_AFTER:
+            self.limit = lu.nnz
+            mmd = self._try_mmd(mat)
+            if mmd is not None:
+                return mmd.solve
+        return lu.solve
+
+    def _try_mmd(self, mat):
+        """Cache the MMD ordering if it halves COLAMD's fill; return its factor."""
+        if self.limit < mat.nnz / MMD_GAIN:
+            return None
+        try:
+            lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+        except RuntimeError:
+            return None
+        if lu.nnz > MMD_GAIN * self.limit:
+            return None
+        self.order = np.argsort(lu.perm_c)
+        return lu
+
+
+def _permuted_solve(lu, o, r):
+    x = np.empty_like(r)
+    x[o] = lu.solve(r[o])
+    return x
+
+
 class _KktSolver:
     """Factorization of the scaled augmented system for one NT scaling.
 
     The Newton subsystem  Hinv u - A' v = g (cone rows), -A_F' v = g_F,
-    A u = h  is solved through the quasi-definite form
+    A u = h  is solved through the symmetric indefinite form
 
         [[ I,    B',  0  ]  [W^-1 u]   [W g]
          [ B,    0,   A_F]  [  -v  ] = [ h ]
@@ -104,11 +183,14 @@ class _KktSolver:
 
     with B = A W restricted to cone columns.  Working with B instead of
     the normal equations B B' keeps the condition number from being
-    squared, which is what limits accuracy near convergence.  A ridge is
-    only introduced when the factorization fails outright.
+    squared, which is what limits accuracy near convergence.  The (2,2)
+    block is zero, so the system is not quasi-definite: SuperLU factors it
+    with partial pivoting, in the column order that `ordering` (one
+    _Ordering per solve) picks.  A ridge is only introduced when the
+    factorization fails outright.
     """
 
-    def __init__(self, A, B, free_idx, scaling):
+    def __init__(self, A, B, free_idx, scaling, ordering):
         self.A = A
         self.free_idx = free_idx
         self.scaling = scaling
@@ -135,8 +217,8 @@ class _KktSolver:
         for _ in range(6):
             mat = kkts + ridge * sp.eye(kkts.shape[0], format="csc") if ridge else kkts
             try:
-                self.lu = spla.splu(mat)
-                probe = self.lu.solve(np.ones(mat.shape[0]))
+                self.lu_solve = ordering.factor(mat)
+                probe = self.lu_solve(np.ones(mat.shape[0]))
                 if np.all(np.isfinite(probe)):
                     self.ok = True
                     return
@@ -147,7 +229,7 @@ class _KktSolver:
     def _raw_solve(self, g, h):
         sc, free = self.scaling, self.free_idx
         rhs = np.concatenate([sc.apply_W(g), h, g[free]] if self.F else [sc.apply_W(g), h])
-        sol = self.eq * self.lu.solve(self.eq * rhs)
+        sol = self.eq * self.lu_solve(self.eq * rhs)
         u = sc.apply_W(sol[: self.q])
         v = -sol[self.q : self.q + self.p]
         if self.F:
@@ -226,6 +308,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     nc = 1.0 + np.linalg.norm(c)
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
+    ordering = _Ordering()
 
     def make(status, iters):
         if status in ("Optimal", "IterationLimit", "NumericalFailure"):
@@ -279,7 +362,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         mu_trace.append(float(mu))
 
         B = sc.scale_columns(A)
-        kkt = _KktSolver(A, B, free, sc)
+        kkt = _KktSolver(A, B, free, sc, ordering)
         if not kkt.ok:
             return make("NumericalFailure", it)
         u2, v2 = kkt.solve2(-c, b)

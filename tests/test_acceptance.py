@@ -18,12 +18,7 @@ from qcrelax.build import (
     build_ssocp,
     extract_dual_parts,
 )
-from qcrelax.chordal import (
-    Graph,
-    chordal_extension,
-    maximal_cliques,
-    overlap_set,
-)
+from qcrelax.chordal import Graph, chordal_extension, chordal_parts, maximal_cliques
 from qcrelax.completion import (
     PartialMatrix,
     feasible_range,
@@ -51,13 +46,6 @@ LATTICE_CASES = [
 ]  # 20 instances, n_L in {3,4,5,6}, m in {3,...,10}
 
 
-def _chordal_parts(pat):
-    g = Graph(pat.dim, pat.edges)
-    ext = chordal_extension(g)
-    cs = maximal_cliques(ext)
-    return ext, cs, overlap_set(cs)
-
-
 def _solve(prog):
     sf = to_standard_form(prog, "P")
     sol = solve(sf, CFG)
@@ -78,7 +66,7 @@ def lattice_sweep():
             "ssocp": _solve(build_ssocp(data, pat)),
         }
         if nl <= 4:
-            ext, cs, u = _chordal_parts(pat)
+            ext, cs, u = chordal_parts(pat)
             objs["ssdp"] = _solve(build_ssdp(data, ext, cs, u))
         out.append(((nl, m, seed), objs))
     return out, time.perf_counter() - t0

@@ -5,6 +5,7 @@ import pytest
 from qcrelax.chordal import (
     Graph,
     chordal_extension,
+    chordal_parts,
     is_chordal,
     maximal_cliques,
     overlap_set,
@@ -86,3 +87,15 @@ def test_overlap_excludes_pinned_corner():
     cs = maximal_cliques(chordal_extension(g))
     u = overlap_set(cs)
     assert (1, 1) not in {(i, j) for (i, j, _, _) in u.entries}
+
+
+def test_chordal_parts_of_a_pattern():
+    class Pattern:
+        dim = 4
+        edges = frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
+
+    ext, cs, overlaps = chordal_parts(Pattern())
+    assert ext.base == Graph(4, Pattern.edges)
+    assert len(ext.added_edges) == 1
+    assert cs == maximal_cliques(ext)
+    assert overlaps == overlap_set(cs)

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qcrelax.program import ConeBlock, StandardForm
-from qcrelax.solver import Solution, SolverConfig, residuals, solve
+from qcrelax import solver as solver_mod
+from qcrelax.build import build_dual_ssocp, build_fsocp, build_ssocp
+from qcrelax.cones import ConeLayout
+from qcrelax.generators import LatticeSpec, gen_lattice
+from qcrelax.model import aggregate_pattern, homogenize
+from qcrelax.program import ConeBlock, StandardForm, to_standard_form
+from qcrelax.solver import Solution, SolverConfig, _KktSolver, _Ordering, residuals, solve
 
 
 def make_sf(A, b, c, K, form="P"):
@@ -172,3 +177,106 @@ def test_mixed_cone_problem():
     sol = solve(make_sf(A, b, c, K), SolverConfig())
     assert sol.status == "Optimal"
     assert sol.primal_obj == pytest.approx(2.0 + np.sqrt(5.0), abs=1e-6)
+
+
+# -- KKT ordering ----------------------------------------------------------------
+
+
+class _SpyOrdering(_Ordering):
+    """Records every ordering state a solve creates and whether it used MMD."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        self.used_mmd = False
+        _SpyOrdering.made.append(self)
+
+    def factor(self, mat):
+        out = super().factor(mat)
+        self.used_mmd |= self.order is not None
+        return out
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    _SpyOrdering.made = []
+    monkeypatch.setattr(solver_mod, "_Ordering", _SpyOrdering)
+    return _SpyOrdering.made
+
+
+def _lattice_sf(builder, nl, seed=0):
+    data = homogenize(gen_lattice(LatticeSpec(nl, 20, seed)))
+    if builder is build_fsocp:
+        prog = builder(data)
+    else:
+        prog = builder(data, aggregate_pattern(data))
+    return to_standard_form(prog, "P")
+
+
+def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
+    sf = _lattice_sf(build_fsocp, 4)
+    sol = solve(sf)
+    (state,) = spy
+    assert sol.status == "Optimal"
+    assert state.order is not None and state.limit is not None
+    # never deciding keeps COLAMD for the whole solve
+    monkeypatch.setattr(solver_mod, "ORDER_AFTER", 10**9)
+    ref = solve(sf)
+    assert spy[1].order is None and spy[1].limit is None
+    assert ref.status == "Optimal"
+    assert sol.iterations == ref.iterations
+    assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
+
+
+def test_small_ssocp_stays_on_colamd(spy):
+    sol = solve(_lattice_sf(build_ssocp, 4))
+    (state,) = spy
+    assert sol.status == "Optimal"
+    assert state.limit is not None  # decided
+    assert not state.used_mmd
+
+
+def test_fill_guard_returns_to_colamd(spy):
+    # the cached MMD order grows past COLAMD's fill part-way through this solve
+    sf = _lattice_sf(build_dual_ssocp, 16)
+    sol = solve(sf)
+    (state,) = spy
+    assert sol.status == "Optimal"
+    assert state.used_mmd and state.order is None
+
+
+def _random_kkt_matrix(n, seed=0):
+    rng = np.random.default_rng(seed)
+    M = sp.random(n, n, density=0.2, random_state=rng) + n * sp.eye(n)
+    return sp.csc_matrix(M + M.T)
+
+
+def test_fill_guard_refactors_with_colamd():
+    mat = _random_kkt_matrix(30)
+    state = _Ordering()
+    state.calls = 10
+    state.order = np.arange(30)[::-1].copy()
+    state.limit = 1  # any factor exceeds it
+    r = np.arange(30.0)
+    x = state.factor(mat)(r)
+    assert state.order is None
+    np.testing.assert_allclose(mat @ x, r, atol=1e-10)
+
+
+def test_ridge_retry_with_cached_order():
+    # duplicate rows make the KKT matrix exactly singular, so only a ridge helps
+    A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
+    layout = ConeLayout([ConeBlock("nonneg", 3)])
+    sc = layout.scaling(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0]))
+    state = _Ordering()
+    state.calls = 10
+    state.order = np.array([5, 0, 4, 1, 3, 2])
+    state.limit = 10**6
+    kkt = _KktSolver(A, sc.scale_columns(A), layout.free_idx, sc, state)
+    assert kkt.ok
+    assert state.calls > 11  # at least one ridge retry
+    assert state.order is not None
+    g, h = np.array([1.0, -1.0, 0.5]), A @ np.array([1.0, 2.0, 1.0])
+    u, v = kkt.solve2(g, h)
+    np.testing.assert_allclose(A @ u, h, atol=1e-6)
