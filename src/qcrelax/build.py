@@ -22,7 +22,7 @@ import numpy as np
 
 from .chordal import ChordalExtension, CliqueSet, OverlapSet
 from .model import AggregatePattern, HomogenizedData, aggregate_pattern
-from .program import ConicProgram, svec_positions
+from .program import ConicProgram, svec_index
 from .sparsemat import SparseSymMatrix
 
 
@@ -38,10 +38,9 @@ def _all_pairs(dim):
     return [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
 
 
-def _svec_index(side, i, j):
-    """svec position of 1-based (i, j), i <= j."""
-    i0, j0 = i - 1, j - 1
-    return i0 * side - i0 * (i0 - 1) // 2 + (j0 - i0)
+def _svec_pos(side, i, j):
+    """svec position of the 1-based entry (i, j)."""
+    return int(svec_index(side).pos[i - 1, j - 1])
 
 
 # -- full SDP -----------------------------------------------------------------
@@ -57,7 +56,7 @@ def build_fsdp(data: HomogenizedData) -> ConicProgram:
     def row(Q: SparseSymMatrix):
         out = {}
         for (i, j), v in Q.entries.items():
-            k = prog.index(("X",), _svec_index(N, i, j))
+            k = prog.index(("X",), _svec_pos(N, i, j))
             # svec carries sqrt(2) on off-diagonals, Q . X doubles them
             out[k] = v if i == j else np.sqrt(2.0) * v
         return out
@@ -69,7 +68,7 @@ def build_fsdp(data: HomogenizedData) -> ConicProgram:
     return prog
 
 
-def decompose_data(Qk: SparseSymMatrix, ext: ChordalExtension, cs: CliqueSet):
+def decompose_data(Qk: SparseSymMatrix, cs: CliqueSet):
     """Split Qk into per-clique matrices summing exactly to Qk.
 
     Each entry goes wholly to the first clique (in the stored order)
@@ -102,14 +101,11 @@ def build_ssdp(
 
     def entry_col(uidx, i, j):
         loc = local[uidx - 1]
-        a, b = loc[i], loc[j]
-        if a > b:
-            a, b = b, a
-        return prog.index(("X", uidx), _svec_index(len(local[uidx - 1]), a, b))
+        return prog.index(("X", uidx), _svec_pos(len(loc), loc[i], loc[j]))
 
     def row(Q: SparseSymMatrix):
         out = {}
-        for uidx, part in enumerate(decompose_data(Q, ext, cs), start=1):
+        for uidx, part in enumerate(decompose_data(Q, cs), start=1):
             for (i, j), v in part.entries.items():
                 k = entry_col(uidx, i, j)
                 out[k] = out.get(k, 0.0) + (v if i == j else np.sqrt(2.0) * v)
@@ -279,20 +275,10 @@ def extract_entries(prog: ConicProgram, values: np.ndarray) -> dict:
     N = prog.metadata["dim"]
     out = {}
     if kind == "fsdp":
-        base = prog.index(("X",))
-        for k, (i0, j0) in enumerate(svec_positions(N)):
-            v = values[base + k]
-            out[(i0 + 1, j0 + 1)] = v if i0 == j0 else v / np.sqrt(2.0)
+        out.update(_psd_entries(prog, ("X",), range(1, N + 1), values))
     elif kind == "ssdp":
         for uidx, verts in enumerate(prog.metadata["cliques"], start=1):
-            side = len(verts)
-            base = prog.index(("X", uidx))
-            for k, (a0, b0) in enumerate(svec_positions(side)):
-                i, j = verts[a0], verts[b0]
-                if i > j:
-                    i, j = j, i
-                v = values[base + k]
-                out[(i, j)] = v if a0 == b0 else v / np.sqrt(2.0)
+            out.update(_psd_entries(prog, ("X", uidx), verts, values))
     elif kind in ("fsocp", "ssocp"):
         for i in range(1, N + 1):
             out[(i, i)] = values[prog.index(("d", i))]
@@ -301,6 +287,17 @@ def extract_entries(prog: ConicProgram, values: np.ndarray) -> dict:
     else:
         raise BuildError(f"no matrix extraction for kind {kind!r}")
     return out
+
+
+def _psd_entries(prog, key, verts, values):
+    """{(i, j): value} of the psd block `key`, whose rows are the vertices `verts`."""
+    blk = prog.block(key)
+    ix = svec_index(blk.dim)
+    vals = values[blk.start : blk.start + blk.scalar_len] / ix.scale
+    verts = np.asarray(verts)
+    a, b = verts[ix.rows], verts[ix.cols]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    return dict(zip(zip(i.tolist(), j.tolist()), vals.tolist()))
 
 
 def extract_dual_parts(prog: ConicProgram, values: np.ndarray):

@@ -36,6 +36,11 @@ from .solver import SolverConfig, solve
 
 RELAXATIONS = ("fsdp", "ssdp", "fsocp", "ssocp", "dual-fsocp", "dual-ssocp")
 
+#: what a missing, unreadable or unusable instance raises on its way to a
+#: solve: IO errors, and the ValueError subclasses of loading, building and
+#: lowering (MalformedInstanceError, BuildError, LoweringError, ...)
+INPUT_ERRORS = (OSError, ValueError)
+
 CSV_HEADER = (
     "instance,relaxation,form,status,variables,constraints,"
     "nonneg,soc,psd,free,iterations,wall_time_s,objective,pres,dres,gap"
@@ -166,7 +171,7 @@ def cmd_solve(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
     try:
         rec, prog, sf, sol = _run_one(args.instance, args.relax, args.form, tol)
-    except Exception as exc:  # build or IO failure
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.csv:
@@ -195,29 +200,46 @@ def cmd_compare(args) -> int:
 
     instances = list(args.instances)
     tmp_files = []
-    if args.sweep_nl:
-        import tempfile
+    try:
+        if args.sweep_nl:
+            import tempfile
 
-        for nl in (int(v) for v in args.sweep_nl.split(",")):
-            inst = gen_lattice(LatticeSpec(nl, args.m, args.seed))
-            fh = tempfile.NamedTemporaryFile(
-                "w", suffix=f"-nl{nl}.json", delete=False
-            )
-            fh.close()
-            save_instance(inst, fh.name)
-            instances.append(fh.name)
-            tmp_files.append(fh.name)
-    if not instances:
-        print("error: no instances given (pass files or --sweep-nl)", file=sys.stderr)
-        return 2
+            for nl in (int(v) for v in args.sweep_nl.split(",")):
+                inst = gen_lattice(LatticeSpec(nl, args.m, args.seed))
+                fh = tempfile.NamedTemporaryFile("w", suffix=f"-nl{nl}.json", delete=False)
+                fh.close()
+                tmp_files.append(fh.name)
+                save_instance(inst, fh.name)
+                instances.append(fh.name)
+        if not instances:
+            print("error: no instances given (pass files or --sweep-nl)", file=sys.stderr)
+            return 2
+        text, nrows = _compare_table(instances, relaxations, args.form, tol, args.out)
+        if not args.out:
+            sys.stdout.write(text)
+            return 0
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print(f"wrote {args.out} ({nrows} rows)")
+        return 0
+    finally:
+        for path in tmp_files:
+            os.unlink(path)
 
+
+def _compare_table(instances, relaxations, form, tol, out):
+    """The comparison table as CSV, or Markdown when `out` ends in .md."""
     rows = []
     for path in instances:
         recs = {}
         for relax in relaxations:
             try:
-                rec, _, _, _ = _run_one(path, relax, args.form, tol)
-            except Exception as exc:
+                rec, _, _, _ = _run_one(path, relax, form, tol)
+            except INPUT_ERRORS as exc:
                 print(f"warning: {relax} on {path} failed: {exc}", file=sys.stderr)
                 continue
             recs[relax] = rec
@@ -244,41 +266,33 @@ def cmd_compare(args) -> int:
             rows.append((_record_csv(rec), agree, ratio))
 
     header = CSV_HEADER + ",agreement,fsocp_ssocp_time_ratio"
-    lines = [header] + [f"{r},{a},{t}" for r, a, t in rows]
-    if args.out and args.out.endswith(".md"):
+    if out and out.endswith(".md"):
         cols = header.split(",")
         md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
         for r, a, t in rows:
             md.append("| " + " | ".join(r.split(",") + [a, t]) + " |")
-        text = "\n".join(md) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
-    for path in tmp_files:
-        os.unlink(path)
-    return 0
+        return "\n".join(md) + "\n", len(rows)
+    lines = [header] + [f"{r},{a},{t}" for r, a, t in rows]
+    return "\n".join(lines) + "\n", len(rows)
 
 
 def cmd_export(args) -> int:
-    inst = load_instance(args.instance)
-    data = homogenize(inst)
-    pattern = aggregate_pattern(data)
-    prog = _build_relaxation(args.relax, data, pattern)
-    sf = to_standard_form(prog, "P")
-    if args.format == "sdpa":
-        if args.relax not in ("fsdp", "ssdp"):
-            print("error: sdpa export needs a pure-SDP relaxation", file=sys.stderr)
-            return 2
-        export_sdpa(sf, args.output)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(standard_form_to_json(sf))
-            fh.write("\n")
+    if args.format == "sdpa" and args.relax not in ("fsdp", "ssdp"):
+        print("error: sdpa export needs a pure-SDP relaxation", file=sys.stderr)
+        return 2
+    try:
+        data = homogenize(load_instance(args.instance))
+        prog = _build_relaxation(args.relax, data, aggregate_pattern(data))
+        sf = to_standard_form(prog, "P")
+        if args.format == "sdpa":
+            export_sdpa(sf, args.output)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(standard_form_to_json(sf))
+                fh.write("\n")
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.output}")
     return 0
 

@@ -1,11 +1,15 @@
 """Symmetric-cone operations for the interior-point solver.
 
 A ConeLayout groups the scalar coordinates of a standard-form variable
-into nonnegative coordinates, batched second-order cones of equal
-dimension, PSD blocks (svec coordinates) and free coordinates.  It
-provides the Jordan-algebra pieces the solver needs: identity element,
-barrier degree, strict interior checks, maximum step to the boundary and
-Nesterov-Todd scalings.
+into nonnegative coordinates, second-order cones batched by dimension
+(`soc_groups`), PSD blocks in svec coordinates batched by matrix side
+(`psd_groups`) and free coordinates.  Each group has a (k, L) take-index
+array, so every operation runs once per group on stacked arrays: the SOC
+formulas on (k, d) arrays, the PSD ones on (k, side, side) matrix stacks
+with batched `eigh`, `cholesky` and `matmul`.  The layout provides the
+Jordan-algebra pieces the solver needs: identity element, barrier degree,
+strict interior checks, maximum step to the boundary and Nesterov-Todd
+scalings.
 
 Free coordinates have no associated cone; the solver keeps their dual
 slack pinned at zero and they never enter scalings or step lengths.
@@ -14,21 +18,33 @@ slack pinned at zero and they never enter scalings or step lengths.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .program import smat, svec
+from .program import smat, svec, svec_len
+
+
+def _t(a):  # the transpose of each matrix in a stack
+    return np.swapaxes(a, -1, -2)
+
+
+def _sqrt_pair(M):
+    """M^(1/2) and M^(-1/2) of a stack of symmetric PSD matrices.
+
+    Eigenvalues are floored at 1e-300 so that the inverse root exists.
+    """
+    lam, U = np.linalg.eigh(M)
+    r = np.sqrt(np.maximum(lam, 1e-300))
+    return U @ (r[..., :, None] * _t(U)), U @ ((1.0 / r)[..., :, None] * _t(U))
 
 
 class ConeLayout:
-    def __init__(self, blocks, free_as_zero: bool = False):
+    def __init__(self, blocks):
         """blocks: list of ConeBlock; zero blocks become free coordinates."""
         self.blocks = list(blocks)
         self.dim = sum(b.scalar_len for b in blocks)
-        self.free = []  # coordinate indices
-        nn = []
+        nn, free = [], []
         soc = {}  # dim -> list of start offsets
-        psd = []  # (start, side)
+        psd = {}  # side -> list of start offsets
         off = 0
         for b in blocks:
             L = b.scalar_len
@@ -37,18 +53,23 @@ class ConeLayout:
             elif b.kind == "soc":
                 soc.setdefault(b.dim, []).append(off)
             elif b.kind == "psd":
-                psd.append((off, b.dim))
+                psd.setdefault(b.dim, []).append(off)
             elif b.kind == "zero":
-                self.free.extend(range(off, off + L))
+                free.extend(range(off, off + L))
             off += L
         self.nn_idx = np.asarray(nn, dtype=int)
-        self.soc_groups = {d: np.asarray(starts, dtype=int) for d, starts in sorted(soc.items())}
-        self.psd_blocks = psd
-        self.free_idx = np.asarray(self.free, dtype=int)
-        self.degree = len(nn) + sum(len(s) for s in soc.values()) + sum(side for _, side in psd)
-        # index matrices for batched soc access: rows are cones, cols coords
+        self.free_idx = np.asarray(free, dtype=int)
+        self.soc_groups = {d: np.asarray(s, dtype=int) for d, s in sorted(soc.items())}
+        self.psd_groups = {n: np.asarray(s, dtype=int) for n, s in sorted(psd.items())}
+        self.degree = len(nn) + sum(map(len, soc.values()))
+        self.degree += sum(n * len(s) for n, s in psd.items())
+        # index matrices for batched access: rows are cones, cols coords
         self._soc_take = {
             d: starts[:, None] + np.arange(d)[None, :] for d, starts in self.soc_groups.items()
+        }
+        self._psd_take = {
+            n: starts[:, None] + np.arange(svec_len(n))[None, :]
+            for n, starts in self.psd_groups.items()
         }
 
     # -- basic vectors -------------------------------------------------------
@@ -56,37 +77,31 @@ class ConeLayout:
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[self.nn_idx] = 1.0
-        for d, starts in self.soc_groups.items():
+        for starts in self.soc_groups.values():
             e[starts] = 1.0
-        for start, side in self.psd_blocks:
-            e[start : start + side * (side + 1) // 2] = svec(np.eye(side))
+        for side, take in self._psd_take.items():
+            e[take] = svec(np.eye(side))
         return e
 
-    def in_interior(self, z: np.ndarray, margin: float = 0.0) -> bool:
-        if self.nn_idx.size and np.min(z[self.nn_idx]) <= margin:
+    def in_interior(self, z: np.ndarray) -> bool:
+        if self.nn_idx.size and np.min(z[self.nn_idx]) <= 0.0:
             return False
-        for d, take in self._soc_take.items():
+        for take in self._soc_take.values():
             zz = z[take]
-            head = zz[:, 0]
-            tail_norm = np.linalg.norm(zz[:, 1:], axis=1)
-            if np.any(head - tail_norm <= margin):
+            if np.any(zz[:, 0] - np.linalg.norm(zz[:, 1:], axis=1) <= 0.0):
                 return False
-        for start, side in self.psd_blocks:
-            M = smat(z[start : start + side * (side + 1) // 2], side)
+        for side, take in self._psd_take.items():
             try:
-                sla.cholesky(M - margin * np.eye(side), lower=True)
-            except sla.LinAlgError:
+                np.linalg.cholesky(smat(z[take], side))
+            except np.linalg.LinAlgError:
                 return False
         return True
 
     def dot_trace(self, x: np.ndarray, s: np.ndarray) -> float:
         """x . s over cone coordinates only (free coords excluded)."""
-        total = float(x[self.nn_idx] @ s[self.nn_idx]) if self.nn_idx.size else 0.0
-        for d, take in self._soc_take.items():
+        total = float(x[self.nn_idx] @ s[self.nn_idx])
+        for take in (*self._soc_take.values(), *self._psd_take.values()):
             total += float(np.sum(x[take] * s[take]))
-        for start, side in self.psd_blocks:
-            L = side * (side + 1) // 2
-            total += float(x[start : start + L] @ s[start : start + L])
         return total
 
     # -- step to the boundary --------------------------------------------------
@@ -105,21 +120,8 @@ class ConeLayout:
             bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
             cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
             alpha = min(alpha, float(np.min(_soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0]))))
-        for start, side in self.psd_blocks:
-            L = side * (side + 1) // 2
-            Z = smat(z[start : start + L], side)
-            D = smat(dz[start : start + L], side)
-            if np.all(D == 0.0):
-                continue
-            try:
-                w = sla.eigh(D, Z, eigvals_only=True)
-                tmin = float(w[0])
-            except (sla.LinAlgError, ValueError):
-                # fall back to explicit whitening of Z
-                lam, U = np.linalg.eigh(Z)
-                lam = np.maximum(lam, 1e-300)
-                Zmh = U @ np.diag(1.0 / np.sqrt(lam)) @ U.T
-                tmin = float(np.linalg.eigvalsh(Zmh @ D @ Zmh)[0])
+        for side, take in self._psd_take.items():
+            tmin = float(np.min(_psd_boundary_rates(smat(z[take], side), smat(dz[take], side))))
             if tmin < 0:
                 alpha = min(alpha, -1.0 / tmin)
         return alpha
@@ -152,6 +154,20 @@ def _soc_boundary_steps(a, b, c, z0, d0):
     return np.min(np.where(ok, roots, np.inf), axis=0)
 
 
+def _psd_boundary_rates(Z, D):
+    """Per block of a stack, the smallest generalized eigenvalue w of (D, Z).
+
+    A block with w < 0 leaves the cone at t = -1/w.  Z is whitened by its
+    Cholesky factor, or by its eigenvalues if that factorization fails.
+    """
+    try:
+        Wh = np.linalg.inv(np.linalg.cholesky(Z))
+    except np.linalg.LinAlgError:
+        lam, U = np.linalg.eigh(Z)
+        Wh = (1.0 / np.sqrt(np.maximum(lam, 1e-300)))[..., :, None] * _t(U)
+    return np.linalg.eigvalsh(Wh @ D @ _t(Wh))[..., 0]
+
+
 class Scaling:
     """Nesterov-Todd scaling at an interior pair (x, s).
 
@@ -163,11 +179,8 @@ class Scaling:
         self.lmbda = np.zeros(layout.dim)
 
         idx = layout.nn_idx
-        if idx.size:
-            self._nn_w = np.sqrt(x[idx] / s[idx])
-            self.lmbda[idx] = np.sqrt(x[idx] * s[idx])
-        else:
-            self._nn_w = np.zeros(0)
+        self._nn_w = np.sqrt(x[idx] / s[idx])
+        self.lmbda[idx] = np.sqrt(x[idx] * s[idx])
 
         self._soc = {}
         for d, take in layout._soc_take.items():
@@ -188,40 +201,31 @@ class Scaling:
             q /= np.sqrt(2.0 * (1.0 + wb[:, 0]))[:, None]
             eta = (detx / dets) ** 0.25
             self._soc[d] = (q, eta)
-            self.lmbda[take] = self._soc_apply(d, q, eta, ss)
+            self.lmbda[take] = self._soc_apply(q, eta, ss)
 
-        self._psd = []
-        for start, side in layout.psd_blocks:
-            L = side * (side + 1) // 2
-            X = smat(x[start : start + L], side)
-            S = smat(s[start : start + L], side)
-            ls, Us = np.linalg.eigh(S)
-            ls = np.maximum(ls, 1e-300)
-            Sh = Us @ (np.sqrt(ls)[:, None] * Us.T)
-            Smh = Us @ ((1.0 / np.sqrt(ls))[:, None] * Us.T)
+        # psd: W u = svec(R U R) with R the square root of the NT point Wm
+        self._psd = {}
+        for side, take in layout._psd_take.items():
+            X, S = smat(x[take], side), smat(s[take], side)
+            Sh, Smh = _sqrt_pair(S)
             M = Sh @ X @ Sh
-            lm, Um = np.linalg.eigh((M + M.T) / 2.0)
-            lm = np.maximum(lm, 1e-300)
-            Mh = Um @ (np.sqrt(lm)[:, None] * Um.T)
+            Mh, _ = _sqrt_pair((M + _t(M)) / 2.0)
             Wm = Smh @ Mh @ Smh  # the NT point: Wm S Wm = X
-            lw, Uw = np.linalg.eigh((Wm + Wm.T) / 2.0)
-            lw = np.maximum(lw, 1e-300)
-            R = Uw @ (np.sqrt(lw)[:, None] * Uw.T)
-            Rinv = Uw @ ((1.0 / np.sqrt(lw))[:, None] * Uw.T)
-            self._psd.append((start, side, R, Rinv))
+            R, Rinv = _sqrt_pair((Wm + _t(Wm)) / 2.0)
+            self._psd[side] = (R, Rinv)
             Lam = R @ S @ R
-            self.lmbda[start : start + L] = svec((Lam + Lam.T) / 2.0)
+            self.lmbda[take] = svec((Lam + _t(Lam)) / 2.0)
 
     # soc helpers: W u = eta (2 wb (wb.u) - J u)
     @staticmethod
-    def _soc_apply(d, wb, eta, u):
+    def _soc_apply(wb, eta, u):
         dot = np.sum(wb * u, axis=1)
         ju = u.copy()
         ju[:, 1:] = -ju[:, 1:]
         return eta[:, None] * (2.0 * wb * dot[:, None] - ju)
 
     @staticmethod
-    def _soc_apply_inv(d, wb, eta, u):
+    def _soc_apply_inv(wb, eta, u):
         jw = wb.copy()
         jw[:, 1:] = -jw[:, 1:]
         dot = np.sum(jw * u, axis=1)
@@ -229,31 +233,24 @@ class Scaling:
         ju[:, 1:] = -ju[:, 1:]
         return (2.0 * jw * dot[:, None] - ju) / eta[:, None]
 
-    def _map(self, u, nn_fn, soc_fn, psd_fn):
+    def _map(self, u, nn_fn, soc_fn, inverse):
         out = np.zeros_like(u)
         lay = self.layout
-        if lay.nn_idx.size:
-            out[lay.nn_idx] = nn_fn(u[lay.nn_idx])
+        out[lay.nn_idx] = nn_fn(u[lay.nn_idx])
         for d, take in lay._soc_take.items():
             wb, eta = self._soc[d]
-            out[take] = soc_fn(d, wb, eta, u[take])
-        for start, side, R, Rinv in self._psd:
-            L = side * (side + 1) // 2
-            U = smat(u[start : start + L], side)
-            V = psd_fn(U, R, Rinv)
-            out[start : start + L] = svec((V + V.T) / 2.0)
+            out[take] = soc_fn(wb, eta, u[take])
+        for side, take in lay._psd_take.items():
+            R = self._psd[side][1 if inverse else 0]
+            V = R @ smat(u[take], side) @ R
+            out[take] = svec((V + _t(V)) / 2.0)
         return out
 
     def apply_W(self, u):
-        return self._map(u, lambda v: self._nn_w * v, self._soc_apply, lambda U, R, Ri: R @ U @ R)
+        return self._map(u, lambda v: self._nn_w * v, self._soc_apply, False)
 
     def apply_Winv(self, u):
-        return self._map(
-            u, lambda v: v / self._nn_w, self._soc_apply_inv, lambda U, R, Ri: Ri @ U @ Ri
-        )
-
-    def apply_H(self, u):
-        return self.apply_W(self.apply_W(u))
+        return self._map(u, lambda v: v / self._nn_w, self._soc_apply_inv, True)
 
     def apply_Hinv(self, u):
         return self.apply_Winv(self.apply_Winv(u))
@@ -264,52 +261,37 @@ class Scaling:
         """u o v in scaled coordinates."""
         out = np.zeros_like(u)
         lay = self.layout
-        if lay.nn_idx.size:
-            out[lay.nn_idx] = u[lay.nn_idx] * v[lay.nn_idx]
+        out[lay.nn_idx] = u[lay.nn_idx] * v[lay.nn_idx]
         for d, take in lay._soc_take.items():
             uu, vv = u[take], v[take]
             prod = np.empty_like(uu)
             prod[:, 0] = np.sum(uu * vv, axis=1)
             prod[:, 1:] = uu[:, :1] * vv[:, 1:] + vv[:, :1] * uu[:, 1:]
             out[take] = prod
-        for start, side, _, _ in self._psd:
-            L = side * (side + 1) // 2
-            U = smat(u[start : start + L], side)
-            V = smat(v[start : start + L], side)
-            out[start : start + L] = svec((U @ V + V @ U) / 2.0)
+        for side, take in lay._psd_take.items():
+            U, V = smat(u[take], side), smat(v[take], side)
+            out[take] = svec((U @ V + V @ U) / 2.0)
         return out
-
-    def lam_jordan(self, v):
-        return self.jordan(self.lmbda, v)
 
     def lam_solve(self, d):
         """Solve lambda o u = d for u."""
         out = np.zeros_like(d)
         lay = self.layout
-        if lay.nn_idx.size:
-            out[lay.nn_idx] = d[lay.nn_idx] / self.lmbda[lay.nn_idx]
-        for dd, take in lay._soc_take.items():
-            lam = self.lmbda[take]
-            rhs = d[take]
-            l0 = lam[:, 0]
-            l1 = lam[:, 1:]
+        out[lay.nn_idx] = d[lay.nn_idx] / self.lmbda[lay.nn_idx]
+        for take in lay._soc_take.values():
+            lam, rhs = self.lmbda[take], d[take]
+            l0, l1 = lam[:, 0], lam[:, 1:]
             dt = l0**2 - np.sum(l1**2, axis=1)
             # invert the arrow matrix Arw(lam)
-            r0 = rhs[:, 0]
-            r1 = rhs[:, 1:]
-            u0 = (l0 * r0 - np.sum(l1 * r1, axis=1)) / dt
-            u1 = (r1 - u0[:, None] * l1) / l0[:, None]
+            u0 = (l0 * rhs[:, 0] - np.sum(l1 * rhs[:, 1:], axis=1)) / dt
+            u1 = (rhs[:, 1:] - u0[:, None] * l1) / l0[:, None]
             out[take] = np.concatenate([u0[:, None], u1], axis=1)
-        for start, side, _, _ in self._psd:
-            L = side * (side + 1) // 2
-            Lam = smat(self.lmbda[start : start + L], side)
-            D = smat(d[start : start + L], side)
-            w, Q = np.linalg.eigh(Lam)
-            Dt = Q.T @ D @ Q
-            denom = (w[:, None] + w[None, :]) / 2.0
-            Ut = Dt / denom
-            U = Q @ Ut @ Q.T
-            out[start : start + L] = svec((U + U.T) / 2.0)
+        for side, take in lay._psd_take.items():
+            w, Q = np.linalg.eigh(smat(self.lmbda[take], side))
+            Dt = _t(Q) @ smat(d[take], side) @ Q
+            denom = (w[..., :, None] + w[..., None, :]) / 2.0
+            U = Q @ (Dt / denom) @ _t(Q)
+            out[take] = svec((U + _t(U)) / 2.0)
         return out
 
     # -- KKT assembly: B = A W -----------------------------------------------------
@@ -317,17 +299,15 @@ class Scaling:
     def scale_columns(self, A: sp.csr_matrix) -> sp.csr_matrix:
         """Return B = A W restricted to cone columns (free columns zeroed).
 
-        Nonneg and soc columns are handled with a sparse scaling matrix;
-        psd columns with per-row congruences (rows touching psd blocks are
-        assumed few relative to the block size).
+        Nonneg and soc columns come from one sparse product A @ W.  For
+        each psd side group, every (row, block) pair where a row of A
+        touches a block is gathered into one stack of matrices M, and the
+        congruences R M R of the whole stack are taken by one batched
+        matmul; their svecs are added to B as one sparse matrix.
         """
         lay = self.layout
         p, q = A.shape
-        data, ri, ci = [], [], []
-        if lay.nn_idx.size:
-            ri.append(lay.nn_idx)
-            ci.append(lay.nn_idx)
-            data.append(self._nn_w)
+        data, ri, ci = [self._nn_w], [lay.nn_idx], [lay.nn_idx]
         for d, take in lay._soc_take.items():
             wb, eta = self._soc[d]
             k = wb.shape[0]
@@ -343,18 +323,27 @@ class Scaling:
             ci.append(cols.ravel())
             data.append(blocks.ravel())
         W = sp.csr_matrix(
-            (np.concatenate(data) if data else np.zeros(0),
-             (np.concatenate(ri) if ri else np.zeros(0, dtype=int),
-              np.concatenate(ci) if ci else np.zeros(0, dtype=int))),
-            shape=(q, q),
+            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))), shape=(q, q)
         )
-        B = (A @ W).tolil() if self._psd else A @ W
-        for start, side, R, Rinv in self._psd:
-            L = side * (side + 1) // 2
-            sub = A[:, start : start + L]
-            touched = np.unique(sub.nonzero()[0])
-            for r in touched:
-                vec = np.asarray(sub[r].todense()).ravel()
-                M = smat(vec, side)
-                B[r, start : start + L] = svec(R @ M @ R)
-        return sp.csr_matrix(B)
+        B = A @ W
+        if not self._psd:
+            return B
+
+        data, ri, ci = [], [], []
+        for side, take in lay._psd_take.items():
+            k, L = take.shape
+            sub = A[:, take.ravel()].tocoo()
+            blk, pos = np.divmod(sub.col, L)
+            # one dense svec row per (row of A, block) pair that has a nonzero
+            pair, at = np.unique(sub.row * k + blk, return_inverse=True)
+            rows = np.zeros((pair.size, L))
+            np.add.at(rows, (at, pos), sub.data)
+            r, blk = np.divmod(pair, k)
+            R = self._psd[side][0][blk]
+            ri.append(np.repeat(r, L))
+            ci.append(take[blk].ravel())
+            data.append(svec(R @ smat(rows, side) @ R).ravel())
+        P = sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))), shape=(p, q)
+        )
+        return B + P

@@ -70,10 +70,6 @@ class AggregatePattern:
     edges: frozenset  # pairs (i, j), i < j
     isolated: frozenset  # vertices incident to no edge
 
-    @property
-    def J_size(self) -> int:
-        return self.dim * (self.dim - 1) // 2
-
     def __post_init__(self):
         for (i, j) in self.edges:
             if not (1 <= i < j <= self.dim):
@@ -138,14 +134,16 @@ def instance_to_dict(inst: QcqpInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> QcqpInstance:
-    n = int(d["n"])
-
     def block(b):
         return (_triple_to_matrix(b["P"], n), np.asarray(b["q"], dtype=float), float(b["r"]))
 
-    inst = QcqpInstance(n, block(d["objective"]), tuple(block(b) for b in d["constraints"]))
-    if inst.m != int(d["m"]):
-        raise MalformedInstanceError(f"declared m={d['m']} but found {inst.m} constraints")
+    try:
+        n, m = int(d["n"]), int(d["m"])
+        inst = QcqpInstance(n, block(d["objective"]), tuple(block(b) for b in d["constraints"]))
+    except (KeyError, TypeError) as exc:
+        raise MalformedInstanceError(f"missing or mistyped field {exc}") from exc
+    if inst.m != m:
+        raise MalformedInstanceError(f"declared m={m} but found {inst.m} constraints")
     return inst
 
 

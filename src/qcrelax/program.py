@@ -18,9 +18,11 @@ products.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,33 +56,38 @@ def svec_len(side: int) -> int:
     return side * (side + 1) // 2
 
 
-def svec_positions(side: int):
-    """(i, j) pairs (0-based, i <= j) in svec order."""
-    return [(i, j) for i in range(side) for j in range(i, side)]
+class SvecIndex(NamedTuple):
+    """The svec layout of one matrix side, as read-only index arrays."""
+
+    rows: np.ndarray  # row of each svec coordinate (0-based, rows <= cols)
+    cols: np.ndarray  # its column
+    scale: np.ndarray  # 1 on the diagonal, sqrt(2) off it
+    pos: np.ndarray  # (side, side): svec coordinate of (i, j) and of (j, i)
+
+
+@functools.lru_cache(maxsize=256)
+def svec_index(side: int) -> SvecIndex:
+    rows, cols = np.triu_indices(side)
+    scale = np.where(rows == cols, 1.0, SQRT2)
+    pos = np.empty((side, side), dtype=int)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    for arr in (rows, cols, scale, pos):
+        arr.flags.writeable = False
+    return SvecIndex(rows, cols, scale, pos)
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    side = mat.shape[0]
-    out = np.empty(svec_len(side))
-    k = 0
-    for i in range(side):
-        out[k] = mat[i, i]
-        k += 1
-        for j in range(i + 1, side):
-            out[k] = SQRT2 * mat[i, j]
-            k += 1
-    return out
+    """svec of a symmetric matrix, or of each matrix in a (..., side, side) stack."""
+    ix = svec_index(mat.shape[-1])
+    return mat[..., ix.rows, ix.cols] * ix.scale
 
 
 def smat(vec: np.ndarray, side: int) -> np.ndarray:
-    out = np.zeros((side, side))
-    k = 0
-    for i in range(side):
-        out[i, i] = vec[k]
-        k += 1
-        for j in range(i + 1, side):
-            out[i, j] = out[j, i] = vec[k] / SQRT2
-            k += 1
+    """Inverse of svec; a (..., L) stack gives a (..., side, side) stack."""
+    ix = svec_index(side)
+    vec = np.asarray(vec)
+    out = np.empty(vec.shape[:-1] + (side, side))
+    out[..., ix.rows, ix.cols] = out[..., ix.cols, ix.rows] = vec / ix.scale
     return out
 
 
@@ -177,10 +184,6 @@ class StandardForm:
     obj_const: float = 0.0
     recover: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def cone_dim(self) -> int:
-        return sum(blk.scalar_len for blk in self.K)
 
 
 def _rows_to_csr(rows, ncols):
@@ -458,46 +461,43 @@ def export_sdpa(sf: StandardForm, path) -> None:
         if blk.kind not in ("psd", "nonneg"):
             raise LoweringError("SDPA export supports pure-SDP programs only (psd/nonneg blocks)")
 
-    block_sizes = []
-    offsets = []
-    off = 0
-    for blk in sf.K:
-        offsets.append(off)
-        block_sizes.append(blk.dim if blk.kind == "psd" else -blk.dim)
-        off += blk.scalar_len
+    # per standard-form column: SDPA block number, 0-based (i, j), divisor
+    parts = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)]
+    for k, blk in enumerate(sf.K, start=1):
+        if blk.kind == "psd":
+            ix = svec_index(blk.dim)
+            parts.append((np.full(ix.rows.size, k), ix.rows, ix.cols, ix.scale))
+        else:
+            diag = np.arange(blk.dim)
+            parts.append((np.full(blk.dim, k), diag, diag, np.ones(blk.dim)))
+    bno, ii, jj, div = (np.concatenate(a) for a in zip(*parts))
 
-    def entries_of(vec_or_row):
-        """Yield (block_no, i, j, value) with SDPA 1-based indices."""
-        for bno, blk in enumerate(sf.K, start=1):
-            start = offsets[bno - 1]
-            if blk.kind == "nonneg":
-                for o in range(blk.dim):
-                    v = vec_or_row.get(start + o, 0.0)
-                    if v != 0.0:
-                        yield bno, o + 1, o + 1, v
-            else:
-                pos = svec_positions(blk.dim)
-                for k, (i, j) in enumerate(pos):
-                    v = vec_or_row.get(start + k, 0.0)
-                    if v != 0.0:
-                        if i != j:
-                            v = v / SQRT2
-                        yield bno, i + 1, j + 1, v
-
-    rows = []
-    Acsr = sf.A
-    for r in range(Acsr.shape[0]):
-        sl = Acsr.getrow(r)
-        rows.append({int(j): float(v) for j, v in zip(sl.indices, sl.data)})
-    cdict = {j: -float(v) for j, v in enumerate(sf.c) if v != 0.0}
+    # F0 = -C as row 0, then the constraint rows; nonzeros in (row, column) order
+    A = sp.csr_matrix(sf.A, copy=True)
+    A.sum_duplicates()
+    c = np.asarray(sf.c, dtype=float)
+    ccols = np.flatnonzero(c)
+    arow = np.repeat(np.arange(1, A.shape[0] + 1), np.diff(A.indptr))
+    row = np.concatenate([np.zeros(ccols.size, dtype=int), arow])
+    col = np.concatenate([ccols, A.indices])
+    val = np.concatenate([-c[ccols], A.data])
+    keep = val != 0.0
+    row, col = row[keep], col[keep]
+    val = val[keep] / div[col]
 
     with open(path, "w") as fh:
-        fh.write(f"{Acsr.shape[0]} =mDIM\n")
+        fh.write(f"{A.shape[0]} =mDIM\n")
         fh.write(f"{len(sf.K)} =nBLOCK\n")
-        fh.write(" ".join(str(s) for s in block_sizes) + " =bLOCKsTRUCT\n")
+        sizes = (blk.dim if blk.kind == "psd" else -blk.dim for blk in sf.K)
+        fh.write(" ".join(str(s) for s in sizes) + " =bLOCKsTRUCT\n")
         fh.write(" ".join(repr(float(v)) for v in sf.b) + "\n")
-        for bno, i, j, v in entries_of(cdict):
-            fh.write(f"0 {bno} {i} {j} {v!r}\n")
-        for r, row in enumerate(rows, start=1):
-            for bno, i, j, v in entries_of(row):
-                fh.write(f"{r} {bno} {i} {j} {v!r}\n")
+        fh.writelines(
+            f"{r} {b} {i} {j} {v!r}\n"
+            for r, b, i, j, v in zip(
+                row.tolist(),
+                bno[col].tolist(),
+                (ii[col] + 1).tolist(),
+                (jj[col] + 1).tolist(),
+                val.tolist(),
+            )
+        )

@@ -83,9 +83,6 @@ class SparseSymMatrix:
                 total += 2.0 * v * x[i - 1, j - 1]
         return total
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __add__(self, other: "SparseSymMatrix") -> "SparseSymMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")

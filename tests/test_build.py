@@ -84,7 +84,7 @@ def test_decompose_rejects_uncovered_entries():
     ext = chordal_extension(g)
     cs = maximal_cliques(ext)
     with pytest.raises(DecompositionError):
-        decompose_data(q, ext, cs)
+        decompose_data(q, cs)
 
 
 def test_ssdp_has_one_block_per_clique():

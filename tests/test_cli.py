@@ -122,6 +122,38 @@ def test_solve_missing_file_fails():
     assert main(["solve", "/nonexistent.json", "--relax", "ssocp"]) == 1
 
 
+def test_solve_does_not_swallow_programming_errors(inst, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the solver")
+
+    monkeypatch.setattr("qcrelax.cli.solve", broken)
+    with pytest.raises(RuntimeError, match="bug in the solver"):
+        main(["solve", str(inst), "--relax", "ssocp"])
+
+
+def test_export_missing_or_malformed_file_fails(tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert main(["export", str(tmp_path / "missing.json"), "--relax", "fsdp", "-o", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3}')
+    assert main(["export", str(bad), "--relax", "fsdp", "-o", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compare_removes_sweep_files_when_writing_out_fails(tmp_path, monkeypatch, capsys):
+    import tempfile
+
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(sweep_dir))
+    out = tmp_path / "no-such-dir" / "table.csv"
+    rc = main(["compare", "--sweep-nl", "3", "--m", "3", "--relax", "ssocp", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(sweep_dir.iterdir()) == []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

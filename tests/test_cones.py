@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from qcrelax.cones import ConeLayout, _soc_boundary_steps
-from qcrelax.program import ConeBlock
+from qcrelax.program import ConeBlock, smat, svec
 
 
 def scalar_boundary_step(a, b, c, z0, d0):
@@ -79,3 +81,102 @@ def test_max_step_over_soc_groups():
     # first cone: head 2 - t meets tail norm 1 at t = 1; nonneg leaves at t = 4
     assert layout.max_step(z, dz) == pytest.approx(1.0)
     assert layout.max_step(z, np.zeros(8)) == np.inf
+
+
+# nonneg, soc, two psd blocks of side 2, a psd block of side 3, free columns
+MIXED = [
+    ConeBlock("nonneg", 2),
+    ConeBlock("soc", 3),
+    ConeBlock("psd", 2),
+    ConeBlock("zero", 2),
+    ConeBlock("psd", 2),
+    ConeBlock("psd", 3),
+]
+PSD3 = slice(13, 19)  # the side-3 block's svec coordinates
+
+
+def interior_point(layout, rng):
+    """A random strictly interior point, with zeros on the free coordinates."""
+    z = np.zeros(layout.dim)
+    z[layout.nn_idx] = rng.uniform(0.5, 2.0, layout.nn_idx.size)
+    for d, take in layout._soc_take.items():
+        tail = rng.standard_normal((len(take), d - 1))
+        z[take[:, 1:]] = tail
+        z[take[:, 0]] = np.linalg.norm(tail, axis=1) + rng.uniform(0.1, 1.0, len(take))
+    for side, take in layout._psd_take.items():
+        G = rng.standard_normal((len(take), side, side))
+        z[take] = svec(G @ np.swapaxes(G, -1, -2) + 0.5 * np.eye(side))
+    return z
+
+
+def test_mixed_layout_groups():
+    layout = ConeLayout(MIXED)
+    assert layout.dim == 19
+    assert list(layout.free_idx) == [8, 9]
+    assert {n: list(s) for n, s in layout.psd_groups.items()} == {2: [5, 10], 3: [13]}
+    assert layout.degree == 2 + 1 + 2 + 2 + 3
+    e = layout.identity()
+    assert np.array_equal(e[PSD3], svec(np.eye(3)))
+    assert layout.in_interior(e)
+
+
+def test_scale_columns_matches_dense_reference():
+    layout = ConeLayout(MIXED)
+    rng = np.random.default_rng(5)
+    sc = layout.scaling(interior_point(layout, rng), interior_point(layout, rng))
+    A = rng.standard_normal((6, layout.dim)) * (rng.random((6, layout.dim)) < 0.5)
+    A[:, PSD3] = 0.0  # no row touches the side-3 block
+    A[0, 5:8] = A[0, 10:13] = 1.0  # a row touching both side-2 blocks
+    A[1, 5:8] = A[1, 10:13] = 0.0  # a row touching neither
+    A[2, :] = 0.0  # an empty row
+    B = sc.scale_columns(sp.csr_matrix(A))
+    # row r of B is W applied to row r of A; W leaves free coordinates at zero
+    want = np.array([sc.apply_W(row) for row in A])
+    assert not want[:, PSD3].any() and not want[:, layout.free_idx].any()
+    np.testing.assert_allclose(B.toarray(), want, rtol=1e-12, atol=1e-12)
+    # no stored zeros: the KKT pattern is that of the nonzeros
+    assert np.all(B.data != 0.0)
+
+
+def test_scaling_identities_on_psd_groups():
+    layout = ConeLayout(MIXED)
+    rng = np.random.default_rng(6)
+    x, s = interior_point(layout, rng), interior_point(layout, rng)
+    sc = layout.scaling(x, s)
+    cone = np.setdiff1d(np.arange(layout.dim), layout.free_idx)
+    np.testing.assert_allclose(sc.apply_W(s)[cone], sc.lmbda[cone], rtol=1e-10)
+    np.testing.assert_allclose(sc.apply_Winv(x)[cone], sc.lmbda[cone], rtol=1e-10)
+    d = rng.standard_normal(layout.dim)
+    d[layout.free_idx] = 0.0
+    np.testing.assert_allclose(sc.jordan(sc.lmbda, sc.lam_solve(d)), d, atol=1e-10)
+
+
+def test_in_interior_rejects_one_bad_block_in_a_side_group():
+    layout = ConeLayout([ConeBlock("psd", 3)] * 4)
+    rng = np.random.default_rng(7)
+    z = interior_point(layout, rng)
+    assert layout.in_interior(z)
+    for bad in range(4):
+        zb = z.copy()
+        take = layout._psd_take[3][bad]
+        M = smat(zb[take], 3)
+        lam, U = np.linalg.eigh(M)
+        lam[0] = -1e-3 * lam[-1]  # exactly one negative eigenvalue
+        zb[take] = svec(U @ np.diag(lam) @ U.T)
+        assert not layout.in_interior(zb)
+
+
+def test_psd_max_step_matches_generalized_eigh():
+    layout = ConeLayout([ConeBlock("psd", 3), ConeBlock("psd", 4), ConeBlock("psd", 3)])
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        z = interior_point(layout, rng)
+        dz = rng.standard_normal(layout.dim)
+        want = np.inf
+        for side, take in layout._psd_take.items():
+            for t in take:
+                w = sla.eigh(smat(dz[t], side), smat(z[t], side), eigvals_only=True)[0]
+                if w < 0:
+                    want = min(want, -1.0 / w)
+        assert layout.max_step(z, dz) == pytest.approx(want, rel=1e-10)
+    assert layout.max_step(z, np.zeros(layout.dim)) == np.inf

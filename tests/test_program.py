@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,63 @@ from qcrelax.program import (
     program_objective,
     smat,
     svec,
+    svec_index,
     svec_len,
     to_standard_form,
     variable_values,
 )
 from qcrelax.solver import SolverConfig, solve
+
+
+def loop_svec(mat):
+    """Entry-by-entry svec, kept as the oracle of the indexed one."""
+    side = mat.shape[0]
+    out = np.empty(svec_len(side))
+    k = 0
+    for i in range(side):
+        out[k] = mat[i, i]
+        k += 1
+        for j in range(i + 1, side):
+            out[k] = math.sqrt(2.0) * mat[i, j]
+            k += 1
+    return out
+
+
+def loop_smat(vec, side):
+    """Entry-by-entry smat, kept as the oracle of the indexed one."""
+    out = np.zeros((side, side))
+    k = 0
+    for i in range(side):
+        out[i, i] = vec[k]
+        k += 1
+        for j in range(i + 1, side):
+            out[i, j] = out[j, i] = vec[k] / math.sqrt(2.0)
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("side", [*range(1, 10), 65])
+def test_svec_smat_match_loop_oracles(side):
+    rng = np.random.default_rng(side)
+    mats = rng.standard_normal((2, 3, side, side))
+    mats = mats + np.swapaxes(mats, -1, -2)
+    vecs = rng.standard_normal((2, 3, svec_len(side)))
+    # bit-identical to the loops, for one matrix and for a stack
+    assert np.array_equal(svec(mats[0, 0]), loop_svec(mats[0, 0]))
+    assert np.array_equal(smat(vecs[0, 0], side), loop_smat(vecs[0, 0], side))
+    got_v, got_m = svec(mats), smat(vecs, side)
+    assert got_v.shape == (2, 3, svec_len(side)) and got_m.shape == (2, 3, side, side)
+    for a in range(2):
+        for b in range(3):
+            assert np.array_equal(got_v[a, b], loop_svec(mats[a, b]))
+            assert np.array_equal(got_m[a, b], loop_smat(vecs[a, b], side))
+
+
+def test_svec_index_positions():
+    ix = svec_index(4)
+    for k, (i, j) in enumerate(zip(ix.rows, ix.cols)):
+        assert i <= j and ix.pos[i, j] == ix.pos[j, i] == k
+    assert not ix.pos.flags.writeable
 
 
 def test_svec_round_trip():
@@ -134,6 +188,40 @@ def test_export_sdpa_format(tmp_path):
         parts = line.split()
         assert len(parts) == 5
         assert int(parts[2]) <= int(parts[3])
+
+
+def test_export_sdpa_matches_entrywise_oracle(tmp_path):
+    # two psd blocks and the nonneg slack of an inequality
+    prog = ConicProgram("min")
+    prog.add_var_block(("X",), "psd", 3)
+    prog.add_var_block(("Y",), "psd", 2)
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((4, prog.num_vars)) * (rng.random((4, prog.num_vars)) < 0.6)
+    prog.set_objective(dict(enumerate(dense[0])))
+    prog.add_eq(dict(enumerate(dense[1])), 1.0)
+    prog.add_eq(dict(enumerate(dense[2])), 0.0)
+    prog.add_ineq(dict(enumerate(dense[3])), 2.0)
+    sf = to_standard_form(prog, "P")
+    want = []
+    mats = [-sf.c] + list(sf.A.toarray())
+    for r, vec in enumerate(mats):
+        off = 0
+        for bno, blk in enumerate(sf.K, start=1):
+            if blk.kind == "psd":
+                pos = [(i, j) for i in range(blk.dim) for j in range(i, blk.dim)]
+            else:
+                pos = [(i, i) for i in range(blk.dim)]
+            for k, (i, j) in enumerate(pos):
+                v = float(vec[off + k])
+                if v != 0.0:
+                    v = v / math.sqrt(2.0) if i != j else v
+                    want.append(f"{r} {bno} {i + 1} {j + 1} {v!r}")
+            off += blk.scalar_len
+    path = tmp_path / "prob.dat-s"
+    export_sdpa(sf, path)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["3 =mDIM", "3 =nBLOCK", "3 2 -1 =bLOCKsTRUCT"]
+    assert lines[4:] == want
 
 
 def test_bad_form_rejected():
