@@ -9,7 +9,8 @@ formulas on (k, d) arrays, the PSD ones on (k, side, side) matrix stacks
 with batched `eigh`, `cholesky` and `matmul`.  The layout provides the
 Jordan-algebra pieces the solver needs: identity element, barrier degree,
 strict interior checks, maximum step to the boundary and Nesterov-Todd
-scalings.
+scalings.  `ColumnPattern` is the structural pattern of the KKT block
+B = A W, fixed for a solve; `Scaling.scale_columns` fills in its values.
 
 Free coordinates have no associated cone; the solver keeps their dual
 slack pinned at zero and they never enter scalings or step lengths.
@@ -296,54 +297,93 @@ class Scaling:
 
     # -- KKT assembly: B = A W -----------------------------------------------------
 
-    def scale_columns(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """Return B = A W restricted to cone columns (free columns zeroed).
+    def scale_columns(self, pattern: "ColumnPattern") -> np.ndarray:
+        """Values of B = A W at this scaling, in the order of `pattern`'s entries.
 
-        Nonneg and soc columns come from one sparse product A @ W.  For
-        each psd side group, every (row, block) pair where a row of A
-        touches a block is gathered into one stack of matrices M, and the
-        congruences R M R of the whole stack are taken by one batched
-        matmul; their svecs are added to B as one sparse matrix.
+        The nonneg and SOC entries are one `np.bincount` of the products
+        A[r, l] W[l, k] over the pattern's precomputed index maps.  For
+        each psd side group, the congruences R M R of the pattern's stack
+        of (row, block) matrices are taken by one batched matmul.
         """
-        lay = self.layout
-        p, q = A.shape
-        data, ri, ci = [self._nn_w], [lay.nn_idx], [lay.nn_idx]
-        for d, take in lay._soc_take.items():
-            wb, eta = self._soc[d]
-            k = wb.shape[0]
+        w = [self._nn_w]
+        for d, (wb, eta) in self._soc.items():
             # dense symmetric d x d blocks: eta (2 wb wb' - J), J = diag(1, -1, ..)
             blocks = 2.0 * wb[:, :, None] * wb[:, None, :]
             jdiag = -np.ones(d)
             jdiag[0] = 1.0
             blocks[:, np.arange(d), np.arange(d)] -= jdiag[None, :]
             blocks *= eta[:, None, None]
-            rows = np.broadcast_to(take[:, :, None], (k, d, d))
-            cols = np.broadcast_to(take[:, None, :], (k, d, d))
-            ri.append(rows.ravel())
-            ci.append(cols.ravel())
-            data.append(blocks.ravel())
-        W = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))), shape=(q, q)
-        )
-        B = A @ W
-        if not self._psd:
-            return B
-
-        data, ri, ci = [], [], []
-        for side, take in lay._psd_take.items():
-            k, L = take.shape
-            sub = A[:, take.ravel()].tocoo()
-            blk, pos = np.divmod(sub.col, L)
-            # one dense svec row per (row of A, block) pair that has a nonzero
-            pair, at = np.unique(sub.row * k + blk, return_inverse=True)
-            rows = np.zeros((pair.size, L))
-            np.add.at(rows, (at, pos), sub.data)
-            r, blk = np.divmod(pair, k)
+            w.append(blocks.ravel())
+        dst, a, src = pattern._products
+        vals = [np.bincount(dst, a * np.concatenate(w)[src], minlength=pattern._n_soc)]
+        for side, blk, M in pattern._psd:
             R = self._psd[side][0][blk]
-            ri.append(np.repeat(r, L))
-            ci.append(take[blk].ravel())
-            data.append(svec(R @ smat(rows, side) @ R).ravel())
-        P = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))), shape=(p, q)
-        )
-        return B + P
+            vals.append(svec(R @ M @ R).ravel())
+        return np.concatenate(vals)
+
+
+def _touching(A: sp.coo_matrix, take: np.ndarray):
+    """Pairs (row of A, cone of `take`) where the row has an entry in the cone.
+
+    `take` is a (k, L) index array.  Returns the pairs' rows and cones, and
+    for every entry of A in those columns: its pair, its position in the
+    cone and its value.
+    """
+    k, L = take.shape
+    where = np.full(A.shape[1], -1)
+    where[take.ravel()] = np.arange(k * L)
+    at = where[A.col]
+    hit = at >= 0
+    cone, pos = np.divmod(at[hit], L)
+    pair, which = np.unique(A.row[hit].astype(np.int64) * k + cone, return_inverse=True)
+    rows, cones = np.divmod(pair, k)
+    return rows, cones, which, pos, A.data[hit]
+
+
+class ColumnPattern:
+    """Structural pattern of B = A W over the cone columns, fixed for a solve.
+
+    W is block diagonal, so a row of A that touches a cone gives B a dense
+    row segment over that cone's columns: one entry per nonzero in a
+    nonneg column, a dense d-vector per (row, SOC) pair and a dense svec
+    row per (row, PSD block) pair.  Free columns have no entries.  `rows`
+    and `cols` list B's entries in the order `Scaling.scale_columns`
+    returns their values: nonneg and SOC entries first, then the PSD side
+    groups.  Entries that happen to be zero at some W, such as the
+    off-diagonal SOC entries at W = I, are kept, so the pattern is the
+    same at every iteration.
+
+    For the nonneg and SOC entries, `_products` holds, for every product
+    A[r, l] W[l, k], the entry it adds to, the value of A and the position
+    of W[l, k] among the scaling's flattened blocks.  For each PSD side
+    group, `_psd` holds the stack M of (row, block) matrices smat(row of A
+    restricted to the block) and the block of each.
+    """
+
+    def __init__(self, layout: ConeLayout, A: sp.spmatrix):
+        A = sp.coo_matrix(A)
+        rows, cols, dst, avals, src = [], [], [], [], []
+        n = w0 = 0  # entries and W values so far
+        # a nonneg coordinate is a one-dimensional cone with W = [[w]]
+        for d, take in [(1, layout.nn_idx[:, None]), *layout._soc_take.items()]:
+            r, cone, which, pos, a = _touching(A, take)
+            rows.append(np.repeat(r, d))
+            cols.append(take[cone].ravel())
+            k = np.arange(d)
+            dst.append((n + which[:, None] * d + k).ravel())
+            avals.append(np.repeat(a, d))
+            src.append((w0 + (cone[which] * d + pos)[:, None] * d + k).ravel())
+            n += r.size * d
+            w0 += len(take) * d * d
+        self._n_soc = n  # entries in nonneg and SOC columns
+        self._products = tuple(np.concatenate(v) for v in (dst, avals, src))
+        self._psd = []
+        for side, take in layout._psd_take.items():
+            r, cone, which, pos, a = _touching(A, take)
+            vec = np.zeros((r.size, take.shape[1]))
+            np.add.at(vec, (which, pos), a)
+            rows.append(np.repeat(r, take.shape[1]))
+            cols.append(take[cone].ravel())
+            self._psd.append((side, cone, smat(vec, side)))
+        self.rows = np.concatenate(rows)
+        self.cols = np.concatenate(cols)

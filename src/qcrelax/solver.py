@@ -11,8 +11,10 @@ Each Newton system is solved through a sparse LU of the scaled
 augmented KKT system (see _KktSolver), with iterative refinement, and
 with a small diagonal ridge only when a factorization fails outright
 (for example on rank-deficient rows such as redundant pinning
-constraints).  The fill-reducing ordering of those factors is chosen
-once per solve (see _Ordering).
+constraints).  The KKT system's sparsity pattern and the index maps
+into it are built once per solve (see _KktPattern); each iteration only
+computes values.  The fill-reducing ordering of the factors is chosen at
+the first factorization (see _Ordering).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import ConeLayout
+from .cones import ColumnPattern, ConeLayout
 from .program import StandardForm
 
 #: tau/kappa ratio below which the embedding is read as an infeasibility certificate
@@ -36,9 +38,6 @@ RIDGE = 1e-12
 
 #: a symmetric MMD ordering is cached only if it at most halves COLAMD's factor nnz
 MMD_GAIN = 0.5
-
-#: factorizations made with COLAMD before the ordering is chosen
-ORDER_AFTER = 2
 
 #: SuperLU settings for a symmetric ordering: prefer diagonal pivots
 _SYMMETRIC = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
@@ -105,7 +104,7 @@ def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
 
 
 class _Ordering:
-    """Column ordering of the KKT factors, chosen once per solve.
+    """Column ordering of the KKT factors, chosen at the first factorization.
 
     SuperLU's default COLAMD orders for the pattern of K'K.  When a
     constraint row is dense (F-SOCP), that pattern is nearly full, while a
@@ -113,56 +112,78 @@ class _Ordering:
     Fill is measured as the factor's stored L and U entries (`lu.nnz`),
     which SuperLU reports without copying the factors.
 
-    The first ORDER_AFTER factorizations use COLAMD: at the starting point
-    W is diagonal and the KKT pattern is sparser than in later iterations.
-    The next one decides.  If COLAMD's fill is below 2 nnz(K), no ordering
-    can halve it (the factors contain the pattern of K) and COLAMD is kept
-    without a trial.  Otherwise the matrix is also factored with MMD on
-    K + K' and diagonal pivots preferred; that ordering is kept if it at
-    most halves COLAMD's fill.  Its permutation is then cached, because
-    computing it costs more than a numeric factorization, and every later
-    matrix is factored symmetrically permuted in that order.
+    K has the same pattern at every iteration of a solve (see _KktPattern),
+    so the first factorization decides.  If COLAMD's fill is below
+    2 nnz(K), no ordering can halve it (the factors contain the pattern of
+    K) and COLAMD is kept without a trial.  Otherwise the matrix is also
+    factored with MMD on K + K' and diagonal pivots preferred; that
+    ordering is kept if it at most halves COLAMD's fill.  Its permutation
+    is then cached, because computing it costs more than a numeric
+    factorization, and every later matrix is factored symmetrically
+    permuted in that order.  On the decision's pattern that permutation is
+    a precomputed gather of the matrix's data array.
 
-    The (2,2) block of K is zero, so off-diagonal pivots can make the
-    cached ordering fill in more than COLAMD did.  If a cached-order
-    factor ever exceeds COLAMD's fill at the decision, the rest of the
-    solve goes back to COLAMD.
+    The (2,2) block of K is zero, so off-diagonal pivots can make a
+    cached-order factor fill in more as the values change.  Once one holds
+    more than `limit`, the order's own fill at the decision divided by
+    MMD_GAIN, the rest of the solve goes back to COLAMD.
     """
 
     def __init__(self):
         self.calls = 0
-        self.limit = None  # COLAMD's fill at the decision; None before it
+        self.decided = False
+        self.limit = None  # fill above which a cached-order factor is dropped
         self.order = None  # cached permutation o: later factors are of K[o][:, o]
+        self._pattern = None  # (indptr, indices) of the matrix the order was chosen on
+        self._gather = None  # (data positions, indices, indptr) of that matrix permuted
 
     def factor(self, mat):
         """Factor mat; return a function that solves mat x = r."""
         self.calls += 1
         o = self.order
         if o is not None:
-            lu = spla.splu(mat[o][:, o], permc_spec="NATURAL", **_SYMMETRIC)
+            lu = spla.splu(self._permuted(mat), permc_spec="NATURAL", **_SYMMETRIC)
             if lu.nnz <= self.limit:
                 return partial(_permuted_solve, lu, o)
             self.order = None  # fill guard
         lu = spla.splu(mat)
-        if self.limit is None and self.calls > ORDER_AFTER:
-            self.limit = lu.nnz
-            mmd = self._try_mmd(mat)
+        if not self.decided:
+            self.decided = True
+            mmd = self._try_mmd(mat, lu.nnz)
             if mmd is not None:
                 return mmd.solve
         return lu.solve
 
-    def _try_mmd(self, mat):
-        """Cache the MMD ordering if it halves COLAMD's fill; return its factor."""
-        if self.limit < mat.nnz / MMD_GAIN:
+    def _try_mmd(self, mat, fill):
+        """Cache the MMD ordering if it at most halves COLAMD's fill; return its factor."""
+        if fill < mat.nnz / MMD_GAIN:
             return None
         try:
             lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
         except RuntimeError:
             return None
-        if lu.nnz > MMD_GAIN * self.limit:
+        if lu.nnz > MMD_GAIN * fill:
             return None
-        self.order = np.argsort(lu.perm_c)
+        self._cache(mat, np.argsort(lu.perm_c), lu.nnz / MMD_GAIN)
         return lu
+
+    def _cache(self, mat, order, limit):
+        """Factor later matrices as mat[order][:, order] while their fill stays within limit."""
+        self.order, self.limit = order, limit
+        ids = sp.csc_matrix((np.arange(1, mat.nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
+        perm = ids[order][:, order]
+        perm.sort_indices()
+        self._pattern = (mat.indptr, mat.indices)
+        self._gather = (perm.data - 1, perm.indices, perm.indptr)
+
+    def _permuted(self, mat):
+        """mat[o][:, o]; a gather of mat.data when mat has the decision's pattern."""
+        indptr, indices = self._pattern
+        if np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices):
+            take, pi, pp = self._gather
+            return sp.csc_matrix((mat.data[take], pi, pp), shape=mat.shape)
+        o = self.order
+        return mat[o][:, o]
 
 
 def _permuted_solve(lu, o, r):
@@ -171,8 +192,8 @@ def _permuted_solve(lu, o, r):
     return x
 
 
-class _KktSolver:
-    """Factorization of the scaled augmented system for one NT scaling.
+class _KktPattern:
+    """The augmented KKT system's sparsity pattern, built once per solve.
 
     The Newton subsystem  Hinv u - A' v = g (cone rows), -A_F' v = g_F,
     A u = h  is solved through the symmetric indefinite form
@@ -181,7 +202,54 @@ class _KktSolver:
          [ B,    0,   A_F]  [  -v  ] = [ h ]
          [ 0,  A_F',  0  ]] [ u_F  ]   [g_F]
 
-    with B = A W restricted to cone columns.  Working with B instead of
+    with B = A W restricted to cone columns.  B's structural pattern
+    (cones.ColumnPattern) depends only on A and the cone layout, so K's
+    CSC pattern is fixed for the solve.  `assemble` fills in the values
+    at one scaling: B's values from `Scaling.scale_columns`, gathered into
+    K's data array through `_src`, then the symmetric equilibration
+    D K D with D = diag(1/sqrt(max_j |K_ij|)), from one column-wise max.
+    """
+
+    def __init__(self, A, layout: ConeLayout):
+        p, q = A.shape
+        free = layout.free_idx
+        self.A, self.free_idx = A, free
+        self.p, self.q, self.F = p, q, len(free)
+        self.n = n = p + q + len(free)
+        self.columns = ColumnPattern(layout, A)
+        br, bc = self.columns.rows, self.columns.cols
+        af = sp.coo_matrix(A[:, free])
+        af.sum_duplicates()
+        # values: [1 (identity), A_F, B]; each block of B and A_F appears twice
+        diag = np.arange(q)
+        a_at = q + np.arange(af.nnz)
+        b_at = q + af.nnz + np.arange(br.size)
+        rows = np.concatenate([diag, q + br, bc, q + af.row, q + p + af.col])
+        cols = np.concatenate([diag, bc, q + br, q + p + af.col, q + af.row])
+        src = np.concatenate([diag, b_at, b_at, a_at, a_at])
+        order = np.lexsort((rows, cols))
+        self.indices = rows[order].astype(np.intc)
+        counts = np.bincount(cols, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+        self._src = src[order]
+        self._col = cols[order]
+        self._nonempty = np.flatnonzero(np.diff(self.indptr))
+        self._const = np.concatenate([np.ones(q), af.data])
+
+    def assemble(self, scaling):
+        """The equilibrated KKT matrix at `scaling` and its equilibration vector."""
+        data = np.concatenate([self._const, scaling.scale_columns(self.columns)])[self._src]
+        cmax = np.zeros(self.n)
+        cmax[self._nonempty] = np.maximum.reduceat(np.abs(data), self.indptr[self._nonempty])
+        eq = 1.0 / np.sqrt(np.maximum(cmax, 1e-12))
+        data *= eq[self.indices] * eq[self._col]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n)), eq
+
+
+class _KktSolver:
+    """Factorization of the scaled augmented system for one NT scaling.
+
+    The system is the one of _KktPattern.  Working with B = A W instead of
     the normal equations B B' keeps the condition number from being
     squared, which is what limits accuracy near convergence.  The (2,2)
     block is zero, so the system is not quasi-definite: SuperLU factors it
@@ -190,28 +258,12 @@ class _KktSolver:
     factorization fails outright.
     """
 
-    def __init__(self, A, B, free_idx, scaling, ordering):
-        self.A = A
-        self.free_idx = free_idx
+    def __init__(self, pattern: _KktPattern, scaling, ordering):
+        self.A = pattern.A
+        self.free_idx = pattern.free_idx
+        self.p, self.q, self.F = pattern.p, pattern.q, pattern.F
         self.scaling = scaling
-        p, q = A.shape
-        F = len(free_idx)
-        self.p, self.q, self.F = p, q, F
-        Af = A[:, free_idx] if F else None
-        blocks = [
-            [sp.eye(q, format="csc"), B.T, None],
-            [B, None, Af],
-            [None, Af.T if F else None, None],
-        ]
-        kkt = sp.bmat(
-            [row[: 2 + (1 if F else 0)] for row in blocks[: 2 + (1 if F else 0)]],
-            format="csc",
-        )
-        # row-norm equilibration (symmetric matrix, applied on both sides)
-        rmax = np.maximum(abs(kkt).max(axis=1).toarray().ravel(), 1e-12)
-        self.eq = 1.0 / np.sqrt(rmax)
-        D = sp.diags(self.eq)
-        kkts = (D @ kkt @ D).tocsc()
+        kkts, self.eq = pattern.assemble(scaling)
         self.ok = False
         ridge = 0.0
         for _ in range(6):
@@ -309,6 +361,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
     ordering = _Ordering()
+    pattern = _KktPattern(A, layout)
 
     def make(status, iters):
         if status in ("Optimal", "IterationLimit", "NumericalFailure"):
@@ -361,8 +414,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         mu = (layout.dot_trace(x, s) + tau * kappa) / (nu + 1)
         mu_trace.append(float(mu))
 
-        B = sc.scale_columns(A)
-        kkt = _KktSolver(A, B, free, sc, ordering)
+        kkt = _KktSolver(pattern, sc, ordering)
         if not kkt.ok:
             return make("NumericalFailure", it)
         u2, v2 = kkt.solve2(-c, b)

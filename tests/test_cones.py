@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from qcrelax.cones import ConeLayout, _soc_boundary_steps
+from qcrelax.cones import ColumnPattern, ConeLayout, _soc_boundary_steps
 from qcrelax.program import ConeBlock, smat, svec
+from qcrelax.solver import _KktPattern
 
 
 def scalar_boundary_step(a, b, c, z0, d0):
@@ -120,22 +121,86 @@ def test_mixed_layout_groups():
     assert layout.in_interior(e)
 
 
-def test_scale_columns_matches_dense_reference():
-    layout = ConeLayout(MIXED)
-    rng = np.random.default_rng(5)
-    sc = layout.scaling(interior_point(layout, rng), interior_point(layout, rng))
+def mixed_A(layout, rng):
+    """A random constraint matrix on the MIXED layout with the edge cases of B = A W."""
     A = rng.standard_normal((6, layout.dim)) * (rng.random((6, layout.dim)) < 0.5)
     A[:, PSD3] = 0.0  # no row touches the side-3 block
     A[0, 5:8] = A[0, 10:13] = 1.0  # a row touching both side-2 blocks
     A[1, 5:8] = A[1, 10:13] = 0.0  # a row touching neither
     A[2, :] = 0.0  # an empty row
-    B = sc.scale_columns(sp.csr_matrix(A))
+    A[3, layout.free_idx] = 1.5  # a row touching the free columns
+    return A
+
+
+def structural_pattern(layout, A):
+    """Every (row, column) where B = A W can be nonzero: the row's cone segments."""
+    cones = [[j] for j in layout.nn_idx]
+    cones += [list(t) for take in layout._soc_take.values() for t in take]
+    cones += [list(t) for take in layout._psd_take.values() for t in take]
+    return {(r, j) for r in range(A.shape[0]) for c in cones if A[r, c].any() for j in c}
+
+
+def test_scale_columns_matches_dense_reference():
+    layout = ConeLayout(MIXED)
+    rng = np.random.default_rng(5)
+    sc = layout.scaling(interior_point(layout, rng), interior_point(layout, rng))
+    A = mixed_A(layout, rng)
+    pat = ColumnPattern(layout, sp.csr_matrix(A))
+    B = sp.csr_matrix((sc.scale_columns(pat), (pat.rows, pat.cols)), shape=A.shape)
     # row r of B is W applied to row r of A; W leaves free coordinates at zero
     want = np.array([sc.apply_W(row) for row in A])
     assert not want[:, PSD3].any() and not want[:, layout.free_idx].any()
     np.testing.assert_allclose(B.toarray(), want, rtol=1e-12, atol=1e-12)
-    # no stored zeros: the KKT pattern is that of the nonzeros
-    assert np.all(B.data != 0.0)
+    # the stored pattern is the structural one, once per entry, at every scaling
+    entries = set(zip(pat.rows.tolist(), pat.cols.tolist()))
+    assert len(entries) == pat.rows.size == B.nnz
+    assert entries == structural_pattern(layout, A)
+    e = layout.identity()
+    ident = layout.scaling(e, e).scale_columns(pat)
+    B0 = sp.csr_matrix((ident, (pat.rows, pat.cols)), shape=A.shape)
+    assert np.array_equal(B0.indptr, B.indptr) and np.array_equal(B0.indices, B.indices)
+    # at W = I the values are those of A, and its zeros stay stored
+    np.testing.assert_allclose(ident, A[pat.rows, pat.cols], rtol=1e-14, atol=0.0)
+    assert np.any(ident == 0.0)
+
+
+def reference_kkt(A, B, free_idx):
+    """The sp.bmat assembly with row-max equilibration D K D, kept as the oracle."""
+    p, q = A.shape
+    F = len(free_idx)
+    B = sp.csc_matrix(B)
+    Af = A[:, free_idx] if F else None
+    blocks = [
+        [sp.eye(q, format="csc"), B.T, None],
+        [B, None, Af],
+        [None, Af.T if F else None, None],
+    ]
+    kkt = sp.bmat(
+        [row[: 2 + (1 if F else 0)] for row in blocks[: 2 + (1 if F else 0)]],
+        format="csc",
+    )
+    rmax = np.maximum(abs(kkt).max(axis=1).toarray().ravel(), 1e-12)
+    eq = 1.0 / np.sqrt(rmax)
+    D = sp.diags(eq)
+    return (D @ kkt @ D).tocsc(), eq
+
+
+@pytest.mark.parametrize("at_identity", [True, False])
+def test_kkt_assembly_matches_bmat_oracle(at_identity):
+    layout = ConeLayout(MIXED)
+    rng = np.random.default_rng(9)
+    if at_identity:
+        x = s = layout.identity()
+    else:
+        x, s = interior_point(layout, rng), interior_point(layout, rng)
+    sc = layout.scaling(x, s)
+    A = mixed_A(layout, rng)
+    B = [sc.apply_W(row) for row in A]
+    want, want_eq = reference_kkt(sp.csr_matrix(A), B, layout.free_idx)
+    got, eq = _KktPattern(sp.csr_matrix(A), layout).assemble(sc)
+    assert got.shape == want.shape == (layout.dim + 6 + 2,) * 2
+    np.testing.assert_allclose(eq, want_eq, rtol=1e-12)
+    np.testing.assert_allclose(got.toarray(), want.toarray(), rtol=1e-12, atol=1e-12)
 
 
 def test_scaling_identities_on_psd_groups():

@@ -6,12 +6,14 @@ import pytest
 import scipy.sparse as sp
 
 from qcrelax import solver as solver_mod
-from qcrelax.build import build_dual_ssocp, build_fsocp, build_ssocp
+from qcrelax.build import build_fsdp, build_fsocp, build_ssocp
 from qcrelax.cones import ConeLayout
 from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import ConeBlock, StandardForm, to_standard_form
-from qcrelax.solver import Solution, SolverConfig, _KktSolver, _Ordering, residuals, solve
+from qcrelax.solver import (
+    Solution, SolverConfig, _KktPattern, _KktSolver, _Ordering, residuals, solve,
+)
 
 
 def make_sf(A, b, c, K, form="P"):
@@ -205,13 +207,13 @@ def spy(monkeypatch):
     return _SpyOrdering.made
 
 
-def _lattice_sf(builder, nl, seed=0):
+def _lattice_sf(builder, nl, seed=0, form="P"):
     data = homogenize(gen_lattice(LatticeSpec(nl, 20, seed)))
-    if builder is build_fsocp:
+    if builder in (build_fsocp, build_fsdp):
         prog = builder(data)
     else:
         prog = builder(data, aggregate_pattern(data))
-    return to_standard_form(prog, "P")
+    return to_standard_form(prog, form)
 
 
 def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
@@ -220,26 +222,62 @@ def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
     (state,) = spy
     assert sol.status == "Optimal"
     assert state.order is not None and state.limit is not None
-    # never deciding keeps COLAMD for the whole solve
-    monkeypatch.setattr(solver_mod, "ORDER_AFTER", 10**9)
+    # rejecting the MMD trial keeps COLAMD for the whole solve
+    monkeypatch.setattr(_Ordering, "_try_mmd", lambda self, mat, fill: None)
     ref = solve(sf)
-    assert spy[1].order is None and spy[1].limit is None
+    assert spy[1].decided and spy[1].order is None and not spy[1].used_mmd
     assert ref.status == "Optimal"
     assert sol.iterations == ref.iterations
     assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """(permc_spec, dim, nnz) of every SuperLU factorization, in call order."""
+    calls = []
+    splu = solver_mod.spla.splu
+
+    def spy(mat, *args, **kwargs):
+        calls.append((kwargs.get("permc_spec") or "COLAMD", mat.shape[0], mat.nnz))
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", spy)
+    return calls
+
+
+def test_fsocp_decides_at_the_first_factorization(splu_calls):
+    sol = solve(_lattice_sf(build_fsocp, 4))
+    assert sol.status == "Optimal"
+    specs = [spec for spec, _, _ in splu_calls]
+    # one COLAMD factor, the MMD trial that wins, then the cached order
+    assert specs == ["COLAMD", "MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
+
+
+@pytest.mark.parametrize(
+    "builder,form", [(build_fsocp, "P"), (build_ssocp, "P"), (build_ssocp, "D"), (build_fsdp, "P")]
+)
+def test_kkt_pattern_is_fixed_for_a_solve(splu_calls, builder, form):
+    sf = _lattice_sf(builder, 4, form=form)
+    assert form == "P" or ConeLayout(sf.K).free_idx.size  # (D) has free columns
+    sol = solve(sf)
+    assert sol.status == "Optimal"
+    # none of these solves needs a ridge, which would add diagonal entries
+    assert len(splu_calls) >= sol.iterations
+    assert len({(dim, nnz) for _, dim, nnz in splu_calls}) == 1
 
 
 def test_small_ssocp_stays_on_colamd(spy):
     sol = solve(_lattice_sf(build_ssocp, 4))
     (state,) = spy
     assert sol.status == "Optimal"
-    assert state.limit is not None  # decided
+    assert state.decided
     assert not state.used_mmd
 
 
 def test_fill_guard_returns_to_colamd(spy):
-    # the cached MMD order grows past COLAMD's fill part-way through this solve
-    sf = _lattice_sf(build_dual_ssocp, 16)
+    # MMD wins at the first factorization, and a later cached-order factor
+    # outgrows twice the order's own fill at the decision
+    sf = _lattice_sf(build_ssocp, 16)
     sol = solve(sf)
     (state,) = spy
     assert sol.status == "Optimal"
@@ -252,12 +290,25 @@ def _random_kkt_matrix(n, seed=0):
     return sp.csc_matrix(M + M.T)
 
 
+def test_cached_order_gathers_the_permuted_matrix():
+    mat = _random_kkt_matrix(30)
+    o = np.random.default_rng(1).permutation(30)
+    state = _Ordering()
+    state._cache(mat, o, 10**9)
+    other = mat.copy()
+    other.data = np.arange(1.0, other.nnz + 1)  # same pattern, new values
+    # a new pattern, as a ridge retry makes
+    ridged = sp.csc_matrix(mat + 1e-3 * sp.random(30, 30, density=0.1, random_state=2))
+    for m in (mat, other, ridged):
+        got = state._permuted(m)
+        assert np.array_equal(got.toarray(), m[o][:, o].toarray())
+
+
 def test_fill_guard_refactors_with_colamd():
     mat = _random_kkt_matrix(30)
     state = _Ordering()
-    state.calls = 10
-    state.order = np.arange(30)[::-1].copy()
-    state.limit = 1  # any factor exceeds it
+    state.calls, state.decided = 10, True
+    state._cache(mat, np.arange(30)[::-1].copy(), 1)  # any factor exceeds the limit
     r = np.arange(30.0)
     x = state.factor(mat)(r)
     assert state.order is None
@@ -269,11 +320,11 @@ def test_ridge_retry_with_cached_order():
     A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
     layout = ConeLayout([ConeBlock("nonneg", 3)])
     sc = layout.scaling(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0]))
+    pattern = _KktPattern(A, layout)
     state = _Ordering()
-    state.calls = 10
-    state.order = np.array([5, 0, 4, 1, 3, 2])
-    state.limit = 10**6
-    kkt = _KktSolver(A, sc.scale_columns(A), layout.free_idx, sc, state)
+    state.calls, state.decided = 10, True
+    state._cache(pattern.assemble(sc)[0], np.array([5, 0, 4, 1, 3, 2]), 10**6)
+    kkt = _KktSolver(pattern, sc, state)
     assert kkt.ok
     assert state.calls > 11  # at least one ridge retry
     assert state.order is not None
