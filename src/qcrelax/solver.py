@@ -120,52 +120,61 @@ class _Ordering:
     ordering is kept if it at most halves COLAMD's fill.  Its permutation
     is then cached, because computing it costs more than a numeric
     factorization, and every later matrix is factored symmetrically
-    permuted in that order.  On the decision's pattern that permutation is
-    a precomputed gather of the matrix's data array.
+    permuted in that order, through a precomputed gather of its data array.
+    A ridge is added after the permutation: P (K + rI) P' = P K P' + rI.
 
     The (2,2) block of K is zero, so off-diagonal pivots can make a
     cached-order factor fill in more as the values change.  Once one holds
-    more than `limit`, the order's own fill at the decision divided by
-    MMD_GAIN, the rest of the solve goes back to COLAMD.
+    more than `limit` (at first the order's own fill at the decision
+    divided by MMD_GAIN), the matrix is also factored with COLAMD and the
+    sparser factor is used.  If COLAMD's is sparser, the rest of the solve
+    goes back to COLAMD; otherwise the order stays, with COLAMD's fill as
+    its new limit.
     """
 
     def __init__(self):
         self.calls = 0
         self.decided = False
-        self.limit = None  # fill above which a cached-order factor is dropped
+        self.limit = None  # fill above which a cached-order factor is checked against COLAMD
         self.order = None  # cached permutation o: later factors are of K[o][:, o]
-        self._pattern = None  # (indptr, indices) of the matrix the order was chosen on
-        self._gather = None  # (data positions, indices, indptr) of that matrix permuted
+        self._gather = None  # (data positions, indices, indptr) of K[o][:, o]
 
-    def factor(self, mat):
-        """Factor mat; return a function that solves mat x = r."""
+    def factor(self, mat, ridge=0.0):
+        """Factor mat + ridge I; return a function that solves with it.
+
+        Every mat of one _Ordering has the same pattern.
+        """
         self.calls += 1
         o = self.order
         if o is not None:
-            lu = spla.splu(self._permuted(mat), permc_spec="NATURAL", **_SYMMETRIC)
+            lu = spla.splu(_ridged(self._permuted(mat), ridge), permc_spec="NATURAL", **_SYMMETRIC)
             if lu.nnz <= self.limit:
                 return partial(_permuted_solve, lu, o)
-            self.order = None  # fill guard
-        lu = spla.splu(mat)
+            colamd = spla.splu(_ridged(mat, ridge))  # fill guard
+            if colamd.nnz >= lu.nnz:
+                self.limit = colamd.nnz
+                return partial(_permuted_solve, lu, o)
+            self.order = None
+            return colamd.solve
+        ridged = _ridged(mat, ridge)
+        lu = spla.splu(ridged)
         if not self.decided:
             self.decided = True
-            mmd = self._try_mmd(mat, lu.nnz)
+            mmd = self._try_mmd(ridged, lu.nnz)
             if mmd is not None:
+                self._cache(mat, np.argsort(mmd.perm_c), mmd.nnz / MMD_GAIN)
                 return mmd.solve
         return lu.solve
 
     def _try_mmd(self, mat, fill):
-        """Cache the MMD ordering if it at most halves COLAMD's fill; return its factor."""
+        """Factor mat in MMD order if that at most halves COLAMD's fill."""
         if fill < mat.nnz / MMD_GAIN:
             return None
         try:
             lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
         except RuntimeError:
             return None
-        if lu.nnz > MMD_GAIN * fill:
-            return None
-        self._cache(mat, np.argsort(lu.perm_c), lu.nnz / MMD_GAIN)
-        return lu
+        return lu if lu.nnz <= MMD_GAIN * fill else None
 
     def _cache(self, mat, order, limit):
         """Factor later matrices as mat[order][:, order] while their fill stays within limit."""
@@ -173,17 +182,16 @@ class _Ordering:
         ids = sp.csc_matrix((np.arange(1, mat.nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
         perm = ids[order][:, order]
         perm.sort_indices()
-        self._pattern = (mat.indptr, mat.indices)
         self._gather = (perm.data - 1, perm.indices, perm.indptr)
 
     def _permuted(self, mat):
-        """mat[o][:, o]; a gather of mat.data when mat has the decision's pattern."""
-        indptr, indices = self._pattern
-        if np.array_equal(mat.indptr, indptr) and np.array_equal(mat.indices, indices):
-            take, pi, pp = self._gather
-            return sp.csc_matrix((mat.data[take], pi, pp), shape=mat.shape)
-        o = self.order
-        return mat[o][:, o]
+        """mat[o][:, o], gathered from mat.data."""
+        take, indices, indptr = self._gather
+        return sp.csc_matrix((mat.data[take], indices, indptr), shape=mat.shape)
+
+
+def _ridged(mat, ridge):
+    return mat + ridge * sp.eye(mat.shape[0], format="csc") if ridge else mat
 
 
 def _permuted_solve(lu, o, r):
@@ -259,18 +267,15 @@ class _KktSolver:
     """
 
     def __init__(self, pattern: _KktPattern, scaling, ordering):
-        self.A = pattern.A
-        self.free_idx = pattern.free_idx
-        self.p, self.q, self.F = pattern.p, pattern.q, pattern.F
+        self.pattern = pattern
         self.scaling = scaling
         kkts, self.eq = pattern.assemble(scaling)
         self.ok = False
         ridge = 0.0
         for _ in range(6):
-            mat = kkts + ridge * sp.eye(kkts.shape[0], format="csc") if ridge else kkts
             try:
-                self.lu_solve = ordering.factor(mat)
-                probe = self.lu_solve(np.ones(mat.shape[0]))
+                self.lu_solve = ordering.factor(kkts, ridge)
+                probe = self.lu_solve(np.ones(pattern.n))
                 if np.all(np.isfinite(probe)):
                     self.ok = True
                     return
@@ -279,25 +284,27 @@ class _KktSolver:
             ridge = RIDGE if ridge == 0.0 else ridge * 1e4
 
     def _raw_solve(self, g, h):
-        sc, free = self.scaling, self.free_idx
-        rhs = np.concatenate([sc.apply_W(g), h, g[free]] if self.F else [sc.apply_W(g), h])
+        sc, pt = self.scaling, self.pattern
+        free, p, q = pt.free_idx, pt.p, pt.q
+        rhs = np.concatenate([sc.apply_W(g), h, g[free]] if pt.F else [sc.apply_W(g), h])
         sol = self.eq * self.lu_solve(self.eq * rhs)
-        u = sc.apply_W(sol[: self.q])
-        v = -sol[self.q : self.q + self.p]
-        if self.F:
-            u[free] = sol[self.q + self.p :]
+        u = sc.apply_W(sol[:q])
+        v = -sol[q : q + p]
+        if pt.F:
+            u[free] = sol[q + p :]
         return u, v
 
     def solve2(self, g, h, max_refine=8):
         """Solve  Hinv u - A' v = g (cone rows), -A_F' v = g_F,  A u = h."""
-        A, sc, free = self.A, self.scaling, self.free_idx
+        pt, sc = self.pattern, self.scaling
+        A, free = pt.A, pt.free_idx
         u, v = self._raw_solve(g, h)
         target = 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
         prev = np.inf
         for _ in range(max_refine):
             atv = A.T @ v
             r_g = g - (sc.apply_Hinv(u) - atv)
-            if self.F:
+            if pt.F:
                 r_g[free] = g[free] + atv[free]
             r_h = h - A @ u
             err = np.linalg.norm(r_g) + np.linalg.norm(r_h)

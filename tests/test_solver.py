@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qcrelax import solver as solver_mod
 from qcrelax.build import build_fsdp, build_fsocp, build_ssocp
@@ -194,8 +195,8 @@ class _SpyOrdering(_Ordering):
         self.used_mmd = False
         _SpyOrdering.made.append(self)
 
-    def factor(self, mat):
-        out = super().factor(mat)
+    def factor(self, mat, ridge=0.0):
+        out = super().factor(mat, ridge)
         self.used_mmd |= self.order is not None
         return out
 
@@ -233,13 +234,14 @@ def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """(permc_spec, dim, nnz) of every SuperLU factorization, in call order."""
+    """(permc_spec, dim, nnz, factor nnz) of every SuperLU factorization, in call order."""
     calls = []
     splu = solver_mod.spla.splu
 
     def spy(mat, *args, **kwargs):
-        calls.append((kwargs.get("permc_spec") or "COLAMD", mat.shape[0], mat.nnz))
-        return splu(mat, *args, **kwargs)
+        lu = splu(mat, *args, **kwargs)
+        calls.append((kwargs.get("permc_spec") or "COLAMD", mat.shape[0], mat.nnz, lu.nnz))
+        return lu
 
     monkeypatch.setattr(solver_mod.spla, "splu", spy)
     return calls
@@ -248,7 +250,7 @@ def splu_calls(monkeypatch):
 def test_fsocp_decides_at_the_first_factorization(splu_calls):
     sol = solve(_lattice_sf(build_fsocp, 4))
     assert sol.status == "Optimal"
-    specs = [spec for spec, _, _ in splu_calls]
+    specs = [spec for spec, *_ in splu_calls]
     # one COLAMD factor, the MMD trial that wins, then the cached order
     assert specs == ["COLAMD", "MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
 
@@ -263,7 +265,7 @@ def test_kkt_pattern_is_fixed_for_a_solve(splu_calls, builder, form):
     assert sol.status == "Optimal"
     # none of these solves needs a ridge, which would add diagonal entries
     assert len(splu_calls) >= sol.iterations
-    assert len({(dim, nnz) for _, dim, nnz in splu_calls}) == 1
+    assert len({(dim, nnz) for _, dim, nnz, _ in splu_calls}) == 1
 
 
 def test_small_ssocp_stays_on_colamd(spy):
@@ -275,8 +277,8 @@ def test_small_ssocp_stays_on_colamd(spy):
 
 
 def test_fill_guard_returns_to_colamd(spy):
-    # MMD wins at the first factorization, and a later cached-order factor
-    # outgrows twice the order's own fill at the decision
+    # MMD wins at the first factorization, and later cached-order factors
+    # outgrow COLAMD's
     sf = _lattice_sf(build_ssocp, 16)
     sol = solve(sf)
     (state,) = spy
@@ -284,10 +286,40 @@ def test_fill_guard_returns_to_colamd(spy):
     assert state.used_mmd and state.order is None
 
 
+def test_fill_guard_keeps_the_sparser_factor(splu_calls):
+    sol = solve(_lattice_sf(build_ssocp, 16))
+    assert sol.status == "Optimal"
+    # a cached-order factor directly followed by a COLAMD one is a guard check;
+    # the next factorization shows which of the two orderings the solve kept
+    checks = [
+        (splu_calls[i][3], splu_calls[i + 1][3], splu_calls[i + 2][0])
+        for i in range(len(splu_calls) - 2)
+        if splu_calls[i][0] == "NATURAL" and splu_calls[i + 1][0] == "COLAMD"
+    ]
+    assert len(checks) >= 2
+    assert any(kept == "NATURAL" for _, _, kept in checks)
+    for cached, colamd, kept in checks:
+        assert kept == ("COLAMD" if colamd < cached else "NATURAL")
+
+
 def _random_kkt_matrix(n, seed=0):
     rng = np.random.default_rng(seed)
     M = sp.random(n, n, density=0.2, random_state=rng) + n * sp.eye(n)
     return sp.csc_matrix(M + M.T)
+
+
+def _arrow_matrix(n):
+    """Diagonal plus a dense first row and column: eliminating node 0 first fills everything."""
+    M = sp.lil_matrix((n, n))
+    M.setdiag(np.full(n, float(n)))
+    M[0, :] = 1.0
+    M[:, 0] = 1.0
+    M[0, 0] = float(n)
+    return sp.csc_matrix(M)
+
+
+def _cached_order_fill(state, mat):
+    return spla.splu(state._permuted(mat), permc_spec="NATURAL", **solver_mod._SYMMETRIC).nnz
 
 
 def test_cached_order_gathers_the_permuted_matrix():
@@ -297,9 +329,7 @@ def test_cached_order_gathers_the_permuted_matrix():
     state._cache(mat, o, 10**9)
     other = mat.copy()
     other.data = np.arange(1.0, other.nnz + 1)  # same pattern, new values
-    # a new pattern, as a ridge retry makes
-    ridged = sp.csc_matrix(mat + 1e-3 * sp.random(30, 30, density=0.1, random_state=2))
-    for m in (mat, other, ridged):
+    for m in (mat, other):
         got = state._permuted(m)
         assert np.array_equal(got.toarray(), m[o][:, o].toarray())
 
@@ -308,11 +338,38 @@ def test_fill_guard_refactors_with_colamd():
     mat = _random_kkt_matrix(30)
     state = _Ordering()
     state.calls, state.decided = 10, True
-    state._cache(mat, np.arange(30)[::-1].copy(), 1)  # any factor exceeds the limit
+    state._cache(mat, np.arange(30), 1)  # any factor exceeds the limit
+    assert spla.splu(mat).nnz < _cached_order_fill(state, mat)
     r = np.arange(30.0)
     x = state.factor(mat)(r)
     assert state.order is None
     np.testing.assert_allclose(mat @ x, r, atol=1e-10)
+
+
+def test_fill_guard_keeps_an_order_sparser_than_colamd():
+    mat = _arrow_matrix(30)
+    o = np.r_[1:30, 0]  # node 0 last: no fill
+    colamd = spla.splu(mat).nnz
+    state = _Ordering()
+    state.calls, state.decided = 10, True
+    state._cache(mat, o, 1)
+    assert _cached_order_fill(state, mat) < colamd
+    r = np.arange(30.0)
+    x = state.factor(mat)(r)
+    assert state.order is o and state.limit == colamd
+    np.testing.assert_allclose(mat @ x, r, atol=1e-10)
+
+
+def test_ridge_is_added_after_the_permutation():
+    mat = _random_kkt_matrix(30)
+    o = np.random.default_rng(1).permutation(30)
+    state = _Ordering()
+    state.calls, state.decided = 10, True
+    state._cache(mat, o, 10**9)
+    r = np.arange(30.0)
+    x = state.factor(mat, 0.5)(r)
+    assert state.order is o
+    np.testing.assert_allclose((mat + 0.5 * sp.eye(30)) @ x, r, atol=1e-10)
 
 
 def test_ridge_retry_with_cached_order():
