@@ -13,8 +13,11 @@ with a small diagonal ridge only when a factorization fails outright
 (for example on rank-deficient rows such as redundant pinning
 constraints).  The KKT system's sparsity pattern and the index maps
 into it are built once per solve (see _KktPattern); each iteration only
-computes values.  The fill-reducing ordering of the factors is chosen at
-the first factorization (see _Ordering).
+computes values.  Constraint rows that are dense against the others (the
+quadratic constraints of S-SOCP in the (P) form) are kept out of the
+sparse LU and enter through a small dense Schur complement.  The
+fill-reducing ordering of the sparse factors is chosen at the first
+factorization (see _Ordering).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,6 +42,12 @@ RIDGE = 1e-12
 
 #: a symmetric MMD ordering is cached only if it at most halves COLAMD's factor nnz
 MMD_GAIN = 0.5
+
+#: a constraint row is dense if its KKT column has more than this many times the median row's entries
+DENSE_ROW = 10
+
+#: dense rows are split off only if the sparse part keeps at most this share of the KKT entries
+SPLIT_SHARE = 0.25
 
 #: SuperLU settings for a symmetric ordering: prefer diagonal pivots
 _SYMMETRIC = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
@@ -106,10 +116,13 @@ def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
 class _Ordering:
     """Column ordering of the KKT factors, chosen at the first factorization.
 
-    SuperLU's default COLAMD orders for the pattern of K'K.  When a
-    constraint row is dense (F-SOCP), that pattern is nearly full, while a
-    symmetric minimum-degree ordering of K + K' keeps the factors sparse.
-    Fill is measured as the factor's stored L and U entries (`lu.nnz`),
+    SuperLU's default COLAMD orders the columns for the pattern of K'K and
+    leaves the row pivots free, so it does not use the symmetry of K.  A
+    symmetric minimum-degree ordering of K + K', factored with diagonal
+    pivots preferred, can keep the factors much sparser: over 80 times on
+    F-SOCP at n_L = 8, and by half on the sparse part of S-SOCP (P) at
+    n_L = 20, which has no dense row left.  Which one wins depends on the
+    matrix, so the first factorization tries both.  Fill is measured as the factor's stored L and U entries (`lu.nnz`),
     which SuperLU reports without copying the factors.
 
     K has the same pattern at every iteration of a solve (see _KktPattern),
@@ -216,6 +229,21 @@ class _KktPattern:
     at one scaling: B's values from `Scaling.scale_columns`, gathered into
     K's data array through `_src`, then the symmetric equilibration
     D K D with D = diag(1/sqrt(max_j |K_ij|)), from one column-wise max.
+
+    Dense constraint rows are found here too.  A constraint row is dense
+    if its KKT column has more than DENSE_ROW times the median constraint
+    row's entries, so at least half of the rows stay sparse; cone and free
+    columns are never dense.  They are split off only if the sparse part
+    K_s keeps at most SPLIT_SHARE of K's entries: in S-SOCP (P) the
+    quadratic-constraint rows span the whole aggregate pattern and hold
+    85% of the entries, while in F-SOCP (n_L 4 to 8) they hold 24-52%
+    and splitting them made its solves 16-28% slower.  The (2,2) block is
+    zero, so the block between two dense rows is too, and K is
+    [[K_s, E], [E', 0]] up to a symmetric permutation.  `split` gathers K_s (in CSC, with the dense rows and
+    columns left out) and E (as a dense array, one column per dense row)
+    from K's data array through maps built here.  `dense` and `sparse`
+    are the KKT positions of the two parts; without dense rows, `dense`
+    is empty and K is factored as a whole.
     """
 
     def __init__(self, A, layout: ConeLayout):
@@ -243,6 +271,55 @@ class _KktPattern:
         self._col = cols[order]
         self._nonempty = np.flatnonzero(np.diff(self.indptr))
         self._const = np.concatenate([np.ones(q), af.data])
+        self.dense = self._dense_rows()
+        self.sparse = np.setdiff1d(np.arange(n), self.dense)
+        if self.dense.size:
+            self._split_gathers()
+
+    def _dense_rows(self):
+        """KKT positions of the constraint rows split off from the sparse factorization."""
+        counts = np.diff(self.indptr)
+        rows = counts[self.q : self.q + self.p]
+        if rows.size == 0:
+            return np.empty(0, dtype=int)
+        dense = self.q + np.flatnonzero(rows > DENSE_ROW * np.median(rows))
+        # no two dense rows share an entry, so each entry of theirs is in E or E'
+        if self.indptr[-1] - 2 * counts[dense].sum() > SPLIT_SHARE * self.indptr[-1]:
+            return np.empty(0, dtype=int)
+        return dense
+
+    def _split_gathers(self):
+        """Gathers of the KKT data array into K_s (CSC) and the dense block E."""
+        n, nd = self.n, self.dense.size
+        at = np.full(n, -1)
+        at[self.sparse] = np.arange(self.sparse.size)
+        is_dense = at < 0
+        rows, cols = self.indices, self._col
+        keep = ~is_dense[rows] & ~is_dense[cols]
+        self._ks_take = np.flatnonzero(keep)
+        self._ks_indices = at[rows[keep]].astype(np.intc)
+        counts = np.bincount(at[cols[keep]], minlength=self.sparse.size)
+        self._ks_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+        col_at = np.zeros(n, dtype=int)
+        col_at[self.dense] = np.arange(nd)
+        coupling = ~is_dense[rows] & is_dense[cols]
+        self._e_take = np.flatnonzero(coupling)
+        self._e_at = at[rows[coupling]] * nd + col_at[cols[coupling]]
+
+    def split(self, kkt):
+        """(K_s, E): kkt without its dense rows, and its columns at them as a dense array.
+
+        Without dense rows this is (kkt, None).
+        """
+        if not self.dense.size:
+            return kkt, None
+        ns = self.sparse.size
+        ks = sp.csc_matrix(
+            (kkt.data[self._ks_take], self._ks_indices, self._ks_indptr), shape=(ns, ns)
+        )
+        e = np.zeros((ns, self.dense.size))
+        e.flat[self._e_at] = kkt.data[self._e_take]
+        return ks, e
 
     def assemble(self, scaling):
         """The equilibrated KKT matrix at `scaling` and its equilibration vector."""
@@ -254,6 +331,34 @@ class _KktPattern:
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n)), eq
 
 
+def _factor(pattern, ks, e, ordering, ridge):
+    """Factor K + ridge I from pattern.split(K); return a function that solves with it.
+
+    With dense rows, K is [[K_s, E], [E', 0]] up to a symmetric permutation:
+    K_s + ridge I is factored in `ordering`, and the Schur complement
+    S = ridge I - E' Z, Z = (K_s + ridge I)^-1 E, densely.
+    """
+    solve_s = ordering.factor(ks, ridge)
+    if e is None:
+        return solve_s
+    z = solve_s(e)
+    schur = ridge * np.eye(e.shape[1]) - e.T @ z
+    lu, piv, info = la.lapack.dgetrf(schur)
+    if info != 0:
+        raise RuntimeError("Schur complement of the dense rows is singular")
+    return partial(_block_solve, solve_s, e, z, (lu, piv), pattern.sparse, pattern.dense)
+
+
+def _block_solve(solve_s, e, z, schur_lu, sparse, dense, r):
+    """Block elimination: w = K_s^-1 r_s, S y = r_d - E' w, x_s = w - Z y, x_d = y."""
+    w = solve_s(r[sparse])
+    y = la.lu_solve(schur_lu, r[dense] - e.T @ w, check_finite=False)
+    x = np.empty_like(r)
+    x[sparse] = w - z @ y
+    x[dense] = y
+    return x
+
+
 class _KktSolver:
     """Factorization of the scaled augmented system for one NT scaling.
 
@@ -262,8 +367,13 @@ class _KktSolver:
     squared, which is what limits accuracy near convergence.  The (2,2)
     block is zero, so the system is not quasi-definite: SuperLU factors it
     with partial pivoting, in the column order that `ordering` (one
-    _Ordering per solve) picks.  A ridge is only introduced when the
-    factorization fails outright.
+    _Ordering per solve) picks.  With dense rows, only K_s goes to SuperLU;
+    Z = K_s^-1 E comes from one multi-column solve, and `lu_solve` does
+    block elimination with a dense LU of S = -E' Z.  That step is like the
+    normal equations on the dense rows alone, and the iterative refinement
+    of `solve2` still checks every solve against the unsplit system.  A
+    ridge is only introduced when a factorization fails outright, or when
+    S is singular.
     """
 
     def __init__(self, pattern: _KktPattern, scaling, ordering):
@@ -272,9 +382,10 @@ class _KktSolver:
         kkts, self.eq = pattern.assemble(scaling)
         self.ok = False
         ridge = 0.0
+        ks, e = pattern.split(kkts)
         for _ in range(6):
             try:
-                self.lu_solve = ordering.factor(kkts, ridge)
+                self.lu_solve = _factor(pattern, ks, e, ordering, ridge)
                 probe = self.lu_solve(np.ones(pattern.n))
                 if np.all(np.isfinite(probe)):
                     self.ok = True

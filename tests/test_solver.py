@@ -7,13 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qcrelax import solver as solver_mod
-from qcrelax.build import build_fsdp, build_fsocp, build_ssocp
+from qcrelax.build import build_dual_ssocp, build_fsdp, build_fsocp, build_ssdp, build_ssocp
+from qcrelax.chordal import chordal_parts
 from qcrelax.cones import ConeLayout
 from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import ConeBlock, StandardForm, to_standard_form
 from qcrelax.solver import (
-    Solution, SolverConfig, _KktPattern, _KktSolver, _Ordering, residuals, solve,
+    Solution, SolverConfig, _KktPattern, _KktSolver, _Ordering, _factor, residuals, solve,
 )
 
 
@@ -212,6 +213,8 @@ def _lattice_sf(builder, nl, seed=0, form="P"):
     data = homogenize(gen_lattice(LatticeSpec(nl, 20, seed)))
     if builder in (build_fsocp, build_fsdp):
         prog = builder(data)
+    elif builder is build_ssdp:
+        prog = builder(data, *chordal_parts(aggregate_pattern(data)))
     else:
         prog = builder(data, aggregate_pattern(data))
     return to_standard_form(prog, form)
@@ -277,9 +280,9 @@ def test_small_ssocp_stays_on_colamd(spy):
 
 
 def test_fill_guard_returns_to_colamd(spy):
-    # MMD wins at the first factorization, and later cached-order factors
-    # outgrow COLAMD's
-    sf = _lattice_sf(build_ssocp, 16)
+    # MMD wins at the first factorization of the sparse part, and later
+    # cached-order factors outgrow COLAMD's
+    sf = _lattice_sf(build_ssocp, 20)
     sol = solve(sf)
     (state,) = spy
     assert sol.status == "Optimal"
@@ -287,7 +290,7 @@ def test_fill_guard_returns_to_colamd(spy):
 
 
 def test_fill_guard_keeps_the_sparser_factor(splu_calls):
-    sol = solve(_lattice_sf(build_ssocp, 16))
+    sol = solve(_lattice_sf(build_ssocp, 20))
     assert sol.status == "Optimal"
     # a cached-order factor directly followed by a COLAMD one is a guard check;
     # the next factorization shows which of the two orderings the solve kept
@@ -387,4 +390,104 @@ def test_ridge_retry_with_cached_order():
     assert state.order is not None
     g, h = np.array([1.0, -1.0, 0.5]), A @ np.array([1.0, 2.0, 1.0])
     u, v = kkt.solve2(g, h)
+    np.testing.assert_allclose(A @ u, h, atol=1e-6)
+
+
+# -- dense constraint rows ---------------------------------------------------------
+
+
+def _kkt_pattern(sf):
+    """The KKT pattern that `solve` builds for sf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # S-SDP emits duplicate rows by design
+        A, _, _ = solver_mod._drop_duplicate_rows(sp.csr_matrix(sf.A), sf.b)
+    return _KktPattern(A, ConeLayout(sf.K))
+
+
+@pytest.mark.parametrize("nl", [8, 16, 24])
+def test_ssocp_splits_off_its_quadratic_constraint_rows(nl):
+    sf = _lattice_sf(build_ssocp, nl)
+    # the m = 20 quadratic-constraint rows are the rows of A that touch more
+    # than two diagonal columns (the first `dim` ones); an edge row touches
+    # two, the ball row only diagonal ones
+    n_diag = sf.meta["dim"]
+    quad = np.flatnonzero(np.diff((sf.A[:, :n_diag] != 0).tocsr().indptr) > 2)
+    pattern = _kkt_pattern(sf)
+    assert quad.size == 20
+    np.testing.assert_array_equal(pattern.dense, pattern.q + quad)
+    # the ball row is among them though it touches only about 15% of the cone columns
+    assert min(np.diff(sf.A.indptr)[quad]) < 0.2 * pattern.q
+
+
+@pytest.mark.parametrize(
+    "builder,form",
+    [(build_fsocp, "P"), (build_ssocp, "D"), (build_dual_ssocp, "P"), (build_fsdp, "P"), (build_ssdp, "P")],
+)
+@pytest.mark.parametrize("nl", [3, 4, 5, 6])
+def test_other_relaxations_factor_the_whole_system(builder, form, nl):
+    pattern = _kkt_pattern(_lattice_sf(builder, nl, form=form))
+    assert pattern.dense.size == 0
+    assert pattern.sparse.size == pattern.n
+
+
+def _ssocp_scaling(layout, interior):
+    if not interior:
+        e = layout.identity()
+        return layout.scaling(e, e)
+    rng = np.random.default_rng(4)
+    x, s = (
+        layout.identity() * rng.uniform(0.1, 10.0, layout.dim)
+        + rng.uniform(-0.3, 0.3, layout.dim) / np.sqrt(layout.dim)
+        for _ in range(2)
+    )
+    assert layout.in_interior(x) and layout.in_interior(s)
+    return layout.scaling(x, s)
+
+
+@pytest.mark.parametrize("interior", [False, True])
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+def test_block_elimination_matches_a_full_factorization(interior, ridge):
+    sf = _lattice_sf(build_ssocp, 8)
+    pattern = _kkt_pattern(sf)
+    assert pattern.dense.size == 20
+    kkt, _ = pattern.assemble(_ssocp_scaling(ConeLayout(sf.K), interior))
+    r = np.random.default_rng(5).standard_normal(pattern.n)
+    got = _factor(pattern, *pattern.split(kkt), _Ordering(), ridge)(r)
+    want = spla.splu(sp.csc_matrix(kkt + ridge * sp.eye(pattern.n))).solve(r)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_split_solve_matches_the_unsplit_solve(monkeypatch):
+    sf = _lattice_sf(build_ssocp, 8)
+    assert _kkt_pattern(sf).dense.size == 20
+    sol = solve(sf)
+    monkeypatch.setattr(_KktPattern, "_dense_rows", lambda self: np.empty(0, dtype=int))
+    assert _kkt_pattern(sf).dense.size == 0
+    ref = solve(sf)
+    assert sol.status == ref.status == "Optimal"
+    assert sol.iterations == ref.iterations
+    assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
+
+
+def test_singular_schur_complement_takes_the_ridge_retry():
+    # four dense rows over 40 nonneg columns, two of them equal, so the
+    # sparse part is regular and the Schur complement singular
+    rng = np.random.default_rng(2)
+    q = 40
+    dense = rng.uniform(0.5, 1.5, (3, q))
+    sparse = np.eye(q)[::2]
+    A = sp.csr_matrix(np.vstack([dense[:1], dense, sparse]))
+    layout = ConeLayout([ConeBlock("nonneg", q)])
+    sc = layout.scaling(rng.uniform(0.5, 2.0, q), rng.uniform(0.5, 2.0, q))
+    pattern = _KktPattern(A, layout)
+    np.testing.assert_array_equal(pattern.dense, q + np.arange(4))
+    kkt, _ = pattern.assemble(sc)
+    with pytest.raises(RuntimeError):
+        _factor(pattern, *pattern.split(kkt), _Ordering(), 0.0)
+    state = _Ordering()
+    solver = _KktSolver(pattern, sc, state)
+    assert solver.ok
+    assert state.calls >= 2  # at least one ridge retry
+    g, h = rng.standard_normal(q), A @ rng.uniform(0.5, 2.0, q)
+    u, v = solver.solve2(g, h)
     np.testing.assert_allclose(A @ u, h, atol=1e-6)
