@@ -229,18 +229,18 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
 
     positions = [(i, i) for i in range(1, N + 1)] + pairs
     pairset = set(pairs)
+    incident = [[] for _ in range(N + 1)]  # pairs at each vertex, in sorted order
+    for pair in pairs:
+        for v in pair:
+            incident[v].append(pair)
     for pos in positions:
         i, j = pos
         row = dict(lhs.get(pos, {}))
         const = row.pop(None, 0.0)
         if i == j:
-            for (a, b) in pairs:
-                if a == i:  # p = h + g of W^{ab}
-                    row[prog.index(("W", a, b), 0)] = row.get(prog.index(("W", a, b), 0), 0.0) - 1.0
-                    row[prog.index(("W", a, b), 1)] = row.get(prog.index(("W", a, b), 1), 0.0) - 1.0
-                elif b == i:  # s = h - g
-                    row[prog.index(("W", a, b), 0)] = row.get(prog.index(("W", a, b), 0), 0.0) - 1.0
-                    row[prog.index(("W", a, b), 1)] = row.get(prog.index(("W", a, b), 1), 0.0) + 1.0
+            for (a, b) in incident[i]:  # p = h + g of W^{ab} at i = a, s = h - g at i = b
+                row[prog.index(("W", a, b), 0)] = -1.0
+                row[prog.index(("W", a, b), 1)] = -1.0 if a == i else 1.0
             if i in w_col:
                 row[w_col[i]] = row.get(w_col[i], 0.0) - 1.0
         else:

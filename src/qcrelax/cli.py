@@ -1,8 +1,9 @@
 """Command-line driver: generate instances, solve relaxations, compare.
 
-Exit codes: 0 success, 1 solve failure, 2 usage error.  The default
-solver tolerance can be overridden with the CONIC_SOLVER_TOL environment
-variable or the --tol flag (the flag wins).
+Exit codes: 0 success, 1 solve failure, 2 usage error; a usage error is
+reported, as an `error:` line on stderr, before anything is solved.  The
+default solver tolerance can be overridden with the CONIC_SOLVER_TOL
+environment variable or the --tol flag (the flag wins).
 """
 
 from __future__ import annotations
@@ -47,14 +48,20 @@ CSV_HEADER = (
 )
 
 
-def _default_tol() -> float:
+class UsageError(Exception):
+    """A command line that cannot run; `main` reports it before any solve, with exit code 2."""
+
+
+def _solver_config(args) -> SolverConfig:
     env = os.environ.get("CONIC_SOLVER_TOL")
-    if env is None:
-        return 1e-8
     try:
-        return float(env)
-    except ValueError:
-        raise SystemExit(f"invalid CONIC_SOLVER_TOL value {env!r}")
+        if args.tol is not None:
+            tol = args.tol
+        else:
+            tol = 1e-8 if env is None else float(env)
+        return SolverConfig(tol_gap=tol, tol_primal=tol, tol_dual=tol)
+    except ValueError as exc:
+        raise UsageError(f"invalid solver tolerance: {exc}") from None
 
 
 def _build_relaxation(name, data, pattern):
@@ -73,13 +80,12 @@ def _build_relaxation(name, data, pattern):
     raise ValueError(f"unknown relaxation {name!r}")
 
 
-def _run_one(inst_path, relax, form, tol):
+def _run_one(inst_path, relax, form, cfg):
     inst = load_instance(inst_path)
     data = homogenize(inst)
     pattern = aggregate_pattern(data)
     prog = _build_relaxation(relax, data, pattern)
     sf = to_standard_form(prog, form)
-    cfg = SolverConfig(tol_gap=tol, tol_primal=tol, tol_dual=tol)
     t0 = time.perf_counter()
     sol = solve(sf, cfg)
     wall = time.perf_counter() - t0
@@ -133,10 +139,14 @@ def _record_csv(rec) -> str:
 
 
 def cmd_generate(args) -> int:
-    if args.family == "lattice":
-        inst = gen_lattice(LatticeSpec(args.nl, args.m, args.seed))
-    else:
-        inst = gen_zero_diag(ZeroDiagSpec(args.n, args.m, args.density, args.seed))
+    try:  # the specs reject out-of-range sizes
+        if args.family == "lattice":
+            spec, gen = LatticeSpec(args.nl, args.m, args.seed), gen_lattice
+        else:
+            spec, gen = ZeroDiagSpec(args.n, args.m, args.density, args.seed), gen_zero_diag
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    inst = gen(spec)
     save_instance(inst, args.output)
     print(f"wrote {args.output} (n={inst.n}, m={inst.m})")
     return 0
@@ -168,9 +178,11 @@ def _emit_completion(prog, sf, sol, path, compact):
 
 
 def cmd_solve(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    if args.emit_completion and args.relax != "ssocp":
+        raise UsageError("--emit-completion requires --relax ssocp")
+    cfg = _solver_config(args)
     try:
-        rec, prog, sf, sol = _run_one(args.instance, args.relax, args.form, tol)
+        rec, prog, sf, sol = _run_one(args.instance, args.relax, args.form, cfg)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -180,9 +192,6 @@ def cmd_solve(args) -> int:
     else:
         print(json.dumps(rec))
     if args.emit_completion:
-        if args.relax != "ssocp":
-            print("error: --emit-completion requires --relax ssocp", file=sys.stderr)
-            return 2
         _emit_completion(prog, sf, sol, args.emit_completion, args.compact)
     return 0 if rec["status"] == "Optimal" else 1
 
@@ -190,31 +199,33 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     relaxations = [r.strip() for r in args.relax.split(",") if r.strip()]
     if not relaxations:
-        print("error: empty relaxation list", file=sys.stderr)
-        return 2
+        raise UsageError("empty relaxation list")
     for r in relaxations:
         if r not in RELAXATIONS:
-            print(f"error: unknown relaxation {r!r}", file=sys.stderr)
-            return 2
-    tol = args.tol if args.tol is not None else _default_tol()
+            raise UsageError(f"unknown relaxation {r!r}")
+    sizes = args.sweep_nl.split(",") if args.sweep_nl else []
+    try:
+        sweep = [LatticeSpec(int(v), args.m, args.seed) for v in sizes]
+    except ValueError as exc:
+        raise UsageError(f"invalid --sweep-nl {args.sweep_nl!r}: {exc}") from None
+    if not (args.instances or sweep):
+        raise UsageError("no instances given (pass files or --sweep-nl)")
+    cfg = _solver_config(args)
 
     instances = list(args.instances)
     tmp_files = []
     try:
-        if args.sweep_nl:
+        if sweep:
             import tempfile
 
-            for nl in (int(v) for v in args.sweep_nl.split(",")):
-                inst = gen_lattice(LatticeSpec(nl, args.m, args.seed))
-                fh = tempfile.NamedTemporaryFile("w", suffix=f"-nl{nl}.json", delete=False)
+            for spec in sweep:
+                inst = gen_lattice(spec)
+                fh = tempfile.NamedTemporaryFile("w", suffix=f"-nl{spec.n_L}.json", delete=False)
                 fh.close()
                 tmp_files.append(fh.name)
                 save_instance(inst, fh.name)
                 instances.append(fh.name)
-        if not instances:
-            print("error: no instances given (pass files or --sweep-nl)", file=sys.stderr)
-            return 2
-        text, nrows = _compare_table(instances, relaxations, args.form, tol, args.out)
+        text, nrows = _compare_table(instances, relaxations, args.form, cfg, args.out)
         if not args.out:
             sys.stdout.write(text)
             return 0
@@ -231,14 +242,14 @@ def cmd_compare(args) -> int:
             os.unlink(path)
 
 
-def _compare_table(instances, relaxations, form, tol, out):
+def _compare_table(instances, relaxations, form, cfg, out):
     """The comparison table as CSV, or Markdown when `out` ends in .md."""
     rows = []
     for path in instances:
         recs = {}
         for relax in relaxations:
             try:
-                rec, _, _, _ = _run_one(path, relax, form, tol)
+                rec, _, _, _ = _run_one(path, relax, form, cfg)
             except INPUT_ERRORS as exc:
                 print(f"warning: {relax} on {path} failed: {exc}", file=sys.stderr)
                 continue
@@ -278,8 +289,7 @@ def _compare_table(instances, relaxations, form, tol, out):
 
 def cmd_export(args) -> int:
     if args.format == "sdpa" and args.relax not in ("fsdp", "ssdp"):
-        print("error: sdpa export needs a pure-SDP relaxation", file=sys.stderr)
-        return 2
+        raise UsageError("sdpa export needs a pure-SDP relaxation")
     try:
         data = homogenize(load_instance(args.instance))
         prog = _build_relaxation(args.relax, data, aggregate_pattern(data))
@@ -351,7 +361,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ into it are built once per solve (see _KktPattern); each iteration only
 computes values.  Constraint rows that are dense against the others (the
 quadratic constraints of S-SOCP in the (P) form) are kept out of the
 sparse LU and enter through a small dense Schur complement.  The
-fill-reducing ordering of the sparse factors is chosen at the first
-factorization (see _Ordering).
+fill-reducing ordering of the sparse factors is chosen once, at the first
+factorization, and every later factorization of the solve uses it (see
+_Ordering).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ DENSE_ROW = 10
 #: dense rows are split off only if the sparse part keeps at most this share of the KKT entries
 SPLIT_SHARE = 0.25
 
-#: SuperLU settings for a symmetric ordering: prefer diagonal pivots
-_SYMMETRIC = dict(diag_pivot_thresh=0.01, options=dict(SymmetricMode=True))
+#: SuperLU settings for a symmetric ordering: prefer diagonal pivots (see _Ordering)
+_SYMMETRIC = dict(diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,8 @@ class _Ordering:
     which SuperLU reports without copying the factors.
 
     K has the same pattern at every iteration of a solve (see _KktPattern),
-    so the first factorization decides.  If COLAMD's fill is below
+    so the first factorization decides, and every later factorization of
+    the solve uses the chosen ordering.  If COLAMD's fill is below
     2 nnz(K), no ordering can halve it (the factors contain the pattern of
     K) and COLAMD is kept without a trial.  Otherwise the matrix is also
     factored with MMD on K + K' and diagonal pivots preferred; that
@@ -136,19 +138,16 @@ class _Ordering:
     permuted in that order, through a precomputed gather of its data array.
     A ridge is added after the permutation: P (K + rI) P' = P K P' + rI.
 
-    The (2,2) block of K is zero, so off-diagonal pivots can make a
-    cached-order factor fill in more as the values change.  Once one holds
-    more than `limit` (at first the order's own fill at the decision
-    divided by MMD_GAIN), the matrix is also factored with COLAMD and the
-    sparser factor is used.  If COLAMD's is sparser, the rest of the solve
-    goes back to COLAMD; otherwise the order stays, with COLAMD's fill as
-    its new limit.
+    The diagonal-pivot threshold is 1e-3, small as SuperLU's symmetric mode
+    intends: at 0.01, off-diagonal pivots on the zero (2,2) block let the
+    cached-order factors of S-SOCP (P) at n_L = 24 grow to 10 times their
+    fill at the decision (1.9 times at 1e-3), and below 1e-3 F-SOCP (P)
+    solves fail.
     """
 
     def __init__(self):
         self.calls = 0
         self.decided = False
-        self.limit = None  # fill above which a cached-order factor is checked against COLAMD
         self.order = None  # cached permutation o: later factors are of K[o][:, o]
         self._gather = None  # (data positions, indices, indptr) of K[o][:, o]
 
@@ -161,21 +160,14 @@ class _Ordering:
         o = self.order
         if o is not None:
             lu = spla.splu(_ridged(self._permuted(mat), ridge), permc_spec="NATURAL", **_SYMMETRIC)
-            if lu.nnz <= self.limit:
-                return partial(_permuted_solve, lu, o)
-            colamd = spla.splu(_ridged(mat, ridge))  # fill guard
-            if colamd.nnz >= lu.nnz:
-                self.limit = colamd.nnz
-                return partial(_permuted_solve, lu, o)
-            self.order = None
-            return colamd.solve
+            return partial(_permuted_solve, lu, o)
         ridged = _ridged(mat, ridge)
         lu = spla.splu(ridged)
         if not self.decided:
             self.decided = True
             mmd = self._try_mmd(ridged, lu.nnz)
             if mmd is not None:
-                self._cache(mat, np.argsort(mmd.perm_c), mmd.nnz / MMD_GAIN)
+                self._cache(mat, np.argsort(mmd.perm_c))
                 return mmd.solve
         return lu.solve
 
@@ -189,9 +181,9 @@ class _Ordering:
             return None
         return lu if lu.nnz <= MMD_GAIN * fill else None
 
-    def _cache(self, mat, order, limit):
-        """Factor later matrices as mat[order][:, order] while their fill stays within limit."""
-        self.order, self.limit = order, limit
+    def _cache(self, mat, order):
+        """Factor later matrices as mat[order][:, order]."""
+        self.order = order
         ids = sp.csc_matrix((np.arange(1, mat.nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
         perm = ids[order][:, order]
         perm.sort_indices()

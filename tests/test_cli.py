@@ -24,6 +24,13 @@ def test_generate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_rejects_out_of_range_sizes(tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    assert main(["generate", "lattice", "--nl", "1", "--m", "3", "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_generate_zerodiag(tmp_path):
     out = tmp_path / "z.json"
     rc = main(
@@ -81,12 +88,16 @@ def test_emit_completion(inst, tmp_path, capsys):
     assert np.allclose(X, X.T)
 
 
-def test_emit_completion_wrong_relax_is_usage_error(inst, tmp_path):
+def test_emit_completion_wrong_relax_is_usage_error(inst, tmp_path, capsys):
     rc = main(
         ["solve", str(inst), "--relax", "fsdp", "--emit-completion",
          str(tmp_path / "x.json")]
     )
     assert rc == 2
+    # reported before the solve: no run record
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_compare_table(inst, tmp_path):
@@ -114,8 +125,11 @@ def test_compare_empty_relax_list_usage_error(inst):
     assert main(["compare", str(inst), "--relax", "nope"]) == 2
 
 
-def test_compare_requires_instances():
+def test_compare_requires_instances(capsys):
     assert main(["compare", "--relax", "ssocp"]) == 2
+    for sizes in ("3,x", "3,1"):  # not an integer; a lattice side below 2
+        assert main(["compare", "--sweep-nl", sizes, "--relax", "ssocp"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_missing_file_fails():
@@ -166,6 +180,12 @@ def test_env_tolerance(inst, capsys, monkeypatch):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["status"] == "Optimal"
+    for bad in ("tight", "-1e-6"):
+        monkeypatch.setenv("CONIC_SOLVER_TOL", bad)
+        for argv in (["solve", str(inst)], ["compare", str(inst)]):
+            assert main(argv + ["--relax", "ssocp"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
 
 
 def test_export_sdpa(inst, tmp_path):

@@ -187,19 +187,13 @@ def test_mixed_cone_problem():
 
 
 class _SpyOrdering(_Ordering):
-    """Records every ordering state a solve creates and whether it used MMD."""
+    """Records every ordering state a solve creates."""
 
     made = []
 
     def __init__(self):
         super().__init__()
-        self.used_mmd = False
         _SpyOrdering.made.append(self)
-
-    def factor(self, mat, ridge=0.0):
-        out = super().factor(mat, ridge)
-        self.used_mmd |= self.order is not None
-        return out
 
 
 @pytest.fixture
@@ -225,11 +219,11 @@ def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
     sol = solve(sf)
     (state,) = spy
     assert sol.status == "Optimal"
-    assert state.order is not None and state.limit is not None
+    assert state.order is not None
     # rejecting the MMD trial keeps COLAMD for the whole solve
     monkeypatch.setattr(_Ordering, "_try_mmd", lambda self, mat, fill: None)
     ref = solve(sf)
-    assert spy[1].decided and spy[1].order is None and not spy[1].used_mmd
+    assert spy[1].decided and spy[1].order is None
     assert ref.status == "Optimal"
     assert sol.iterations == ref.iterations
     assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
@@ -250,12 +244,20 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def test_fsocp_decides_at_the_first_factorization(splu_calls):
-    sol = solve(_lattice_sf(build_fsocp, 4))
+@pytest.mark.parametrize(
+    "builder,nl,seed",
+    [(build_fsocp, 4, 0), (build_ssocp, 20, 0), (build_ssocp, 24, 1)],
+    ids=["fsocp-4", "ssocp-20", "ssocp-24-seed1"],
+)
+def test_decides_once_at_the_first_factorization(splu_calls, builder, nl, seed):
+    sol = solve(_lattice_sf(builder, nl, seed))
     assert sol.status == "Optimal"
     specs = [spec for spec, *_ in splu_calls]
-    # one COLAMD factor, the MMD trial that wins, then the cached order
+    # one COLAMD factor, the MMD trial that wins, then only the cached order
     assert specs == ["COLAMD", "MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
+    # small diagonal-pivot thresholds keep later factors near the decision's fill
+    decision = splu_calls[1][3]
+    assert max(fill for *_, fill in splu_calls[2:]) <= 3 * decision
 
 
 @pytest.mark.parametrize(
@@ -276,33 +278,7 @@ def test_small_ssocp_stays_on_colamd(spy):
     (state,) = spy
     assert sol.status == "Optimal"
     assert state.decided
-    assert not state.used_mmd
-
-
-def test_fill_guard_returns_to_colamd(spy):
-    # MMD wins at the first factorization of the sparse part, and later
-    # cached-order factors outgrow COLAMD's
-    sf = _lattice_sf(build_ssocp, 20)
-    sol = solve(sf)
-    (state,) = spy
-    assert sol.status == "Optimal"
-    assert state.used_mmd and state.order is None
-
-
-def test_fill_guard_keeps_the_sparser_factor(splu_calls):
-    sol = solve(_lattice_sf(build_ssocp, 20))
-    assert sol.status == "Optimal"
-    # a cached-order factor directly followed by a COLAMD one is a guard check;
-    # the next factorization shows which of the two orderings the solve kept
-    checks = [
-        (splu_calls[i][3], splu_calls[i + 1][3], splu_calls[i + 2][0])
-        for i in range(len(splu_calls) - 2)
-        if splu_calls[i][0] == "NATURAL" and splu_calls[i + 1][0] == "COLAMD"
-    ]
-    assert len(checks) >= 2
-    assert any(kept == "NATURAL" for _, _, kept in checks)
-    for cached, colamd, kept in checks:
-        assert kept == ("COLAMD" if colamd < cached else "NATURAL")
+    assert state.order is None
 
 
 def _random_kkt_matrix(n, seed=0):
@@ -311,25 +287,11 @@ def _random_kkt_matrix(n, seed=0):
     return sp.csc_matrix(M + M.T)
 
 
-def _arrow_matrix(n):
-    """Diagonal plus a dense first row and column: eliminating node 0 first fills everything."""
-    M = sp.lil_matrix((n, n))
-    M.setdiag(np.full(n, float(n)))
-    M[0, :] = 1.0
-    M[:, 0] = 1.0
-    M[0, 0] = float(n)
-    return sp.csc_matrix(M)
-
-
-def _cached_order_fill(state, mat):
-    return spla.splu(state._permuted(mat), permc_spec="NATURAL", **solver_mod._SYMMETRIC).nnz
-
-
 def test_cached_order_gathers_the_permuted_matrix():
     mat = _random_kkt_matrix(30)
     o = np.random.default_rng(1).permutation(30)
     state = _Ordering()
-    state._cache(mat, o, 10**9)
+    state._cache(mat, o)
     other = mat.copy()
     other.data = np.arange(1.0, other.nnz + 1)  # same pattern, new values
     for m in (mat, other):
@@ -337,38 +299,12 @@ def test_cached_order_gathers_the_permuted_matrix():
         assert np.array_equal(got.toarray(), m[o][:, o].toarray())
 
 
-def test_fill_guard_refactors_with_colamd():
-    mat = _random_kkt_matrix(30)
-    state = _Ordering()
-    state.calls, state.decided = 10, True
-    state._cache(mat, np.arange(30), 1)  # any factor exceeds the limit
-    assert spla.splu(mat).nnz < _cached_order_fill(state, mat)
-    r = np.arange(30.0)
-    x = state.factor(mat)(r)
-    assert state.order is None
-    np.testing.assert_allclose(mat @ x, r, atol=1e-10)
-
-
-def test_fill_guard_keeps_an_order_sparser_than_colamd():
-    mat = _arrow_matrix(30)
-    o = np.r_[1:30, 0]  # node 0 last: no fill
-    colamd = spla.splu(mat).nnz
-    state = _Ordering()
-    state.calls, state.decided = 10, True
-    state._cache(mat, o, 1)
-    assert _cached_order_fill(state, mat) < colamd
-    r = np.arange(30.0)
-    x = state.factor(mat)(r)
-    assert state.order is o and state.limit == colamd
-    np.testing.assert_allclose(mat @ x, r, atol=1e-10)
-
-
 def test_ridge_is_added_after_the_permutation():
     mat = _random_kkt_matrix(30)
     o = np.random.default_rng(1).permutation(30)
     state = _Ordering()
     state.calls, state.decided = 10, True
-    state._cache(mat, o, 10**9)
+    state._cache(mat, o)
     r = np.arange(30.0)
     x = state.factor(mat, 0.5)(r)
     assert state.order is o
@@ -383,7 +319,7 @@ def test_ridge_retry_with_cached_order():
     pattern = _KktPattern(A, layout)
     state = _Ordering()
     state.calls, state.decided = 10, True
-    state._cache(pattern.assemble(sc)[0], np.array([5, 0, 4, 1, 3, 2]), 10**6)
+    state._cache(pattern.assemble(sc)[0], np.array([5, 0, 4, 1, 3, 2]))
     kkt = _KktSolver(pattern, sc, state)
     assert kkt.ok
     assert state.calls > 11  # at least one ridge retry
