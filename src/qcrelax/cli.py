@@ -159,19 +159,13 @@ def _emit_completion(prog, sf, sol, path, compact):
     known = dict(entries)
     for i in range(1, inst_dim + 1):
         known.setdefault((i, i), 0.0)
-    X = zero_fill(PartialMatrix(inst_dim, known, pattern))
+    partial = PartialMatrix(inst_dim, known, pattern)
     if compact:
-        doc = {
-            "dim": inst_dim,
-            "upper": [
-                [i, j, X[i - 1, j - 1]]
-                for i in range(1, inst_dim + 1)
-                for j in range(i, inst_dim + 1)
-                if X[i - 1, j - 1] != 0.0
-            ],
-        }
+        # the nonzeros of the upper triangle of the zero-fill completion, row-major
+        upper = [[i, j, v] for (i, j), v in sorted(partial.known.items()) if v != 0.0]
+        doc = {"dim": inst_dim, "upper": upper}
     else:
-        doc = {"dim": inst_dim, "rows": [list(map(float, row)) for row in X]}
+        doc = {"dim": inst_dim, "rows": [list(map(float, row)) for row in zero_fill(partial)]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

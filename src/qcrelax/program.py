@@ -14,11 +14,30 @@ with K a product of NonNeg, SecondOrder, Psd and (for (D)) Zero blocks.
 PSD variables use svec coordinates: upper triangle row-major with
 off-diagonal entries scaled by sqrt(2), so inner products are plain dot
 products.
+
+Both forms read the program as matrices over its variables v: the
+equalities E v = h, the soc rows S v + s, the inequalities G v <= g and
+the objective vector.  The (P) columns are tied to v by one affine map
+
+    v = T x + f
+
+with a 1 in T for each cone-variable column, +1 and -1 on the positive
+and negative columns of a split free variable, and 1/a on the auxiliary
+soc column u_r of a free variable substituted through its defining row
+u_r = a v_j + const (f_j = -const/a).  Then
+
+    A = [E T; I_aux - S T; I_slack + G T],  b = [h - E f; s + S f; g - G f]
+
+(less the defining soc rows), c = T'obj up to the sense, and obj'f joins
+the objective constant.  (D) takes y = v, so its map is (I, 0), and
+A' = [-I on the cone variables; -S; G; E].  `variable_values` applies
+the map kept in `StandardForm.recover`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -182,248 +201,144 @@ class StandardForm:
     form: str  # "P" | "D"
     obj_sign: float = 1.0
     obj_const: float = 0.0
-    recover: list = field(default_factory=list)
+    # (T, f): a sparse (num_vars x columns) matrix and a dense vector; the
+    # program variables are T @ x + f for (P) and T @ y + f for (D)
+    recover: tuple | None = None
     meta: dict = field(default_factory=dict)
 
 
 def _rows_to_csr(rows, ncols):
-    data, ri, ci = [], [], []
-    for r, row in enumerate(rows):
-        for cidx, v in row.items():
-            if v != 0.0:
-                ri.append(r)
-                ci.append(cidx)
-                data.append(float(v))
-    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
+    lens = [len(row) for row in rows]
+    ci = np.fromiter(itertools.chain.from_iterable(rows), int, sum(lens))
+    vals = (row.values() for row in rows)
+    data = np.fromiter(itertools.chain.from_iterable(vals), float, sum(lens))
+    ri = np.repeat(np.arange(len(rows)), lens)
+    keep = data != 0.0
+    return sp.csr_matrix((data[keep], (ri[keep], ci[keep])), shape=(len(rows), ncols))
 
 
-def _substitutable_free_vars(prog: ConicProgram):
-    """Free scalars with a defining soc row of the shape  u_r = a*v_j + f.
+def _row_matrices(prog: ConicProgram) -> tuple:
+    """The program's rows as matrices over its variables v.
 
-    Such a variable is represented directly by the auxiliary cone
-    coordinate in the (P) lowering (v_j = (u_r - f)/a substituted in all
-    its other occurrences) instead of being split into a difference of
-    nonnegatives, which degrades the scaling near convergence.
-    Returns {var_index: (constraint_idx, row_idx, coef, const)}.
+    Returns (E, h, S, s, G, g, obj): the equalities E v = h, the soc rows
+    S v + s of all constraints in order, the inequalities G v <= g and the
+    dense objective vector.
     """
-    free_idx = set()
+    soc = [pair for rows, consts in prog.soc_constraints for pair in zip(rows, consts)]
+    out = []
+    for pairs in (prog.equalities, soc, prog.inequalities):
+        out.append(_rows_to_csr([row for row, _ in pairs], prog.num_vars))
+        out.append(np.array([rhs for _, rhs in pairs], dtype=float))
+    obj = np.zeros(prog.num_vars)
+    obj[list(prog.objective)] = list(prog.objective.values())
+    return (*out, obj)
+
+
+def _free_mask(prog: ConicProgram) -> np.ndarray:
+    free = np.zeros(prog.num_vars, dtype=bool)
     for blk in prog.var_blocks:
-        if blk.kind == "free":
-            free_idx.update(range(blk.start, blk.start + blk.scalar_len))
-    if not free_idx:
-        return {}
-    subs = {}
-    for ci, (rows, consts) in enumerate(prog.soc_constraints):
-        for ri, row in enumerate(rows):
-            if len(row) != 1:
-                continue
-            (j, a), = row.items()
-            if j in free_idx and j not in subs and a != 0.0:
-                subs[j] = (ci, ri, float(a), float(consts[ri]))
-    return subs
+        free[blk.start : blk.start + blk.scalar_len] = blk.kind == "free"
+    return free
+
+
+def _cone_blocks(prog: ConicProgram) -> list:
+    return [ConeBlock(blk.kind, blk.dim) for blk in prog.var_blocks if blk.kind != "free"]
 
 
 def to_standard_form(prog: ConicProgram, form: str) -> StandardForm:
     if form not in ("P", "D"):
         raise LoweringError(f"form must be 'P' or 'D', got {form!r}")
-    if form == "P":
-        return _lower_primal(prog)
-    return _lower_dual(prog)
+    lower = _lower_primal if form == "P" else _lower_dual
+    return lower(prog, *_row_matrices(prog))
 
 
-def _lower_primal(prog: ConicProgram) -> StandardForm:
-    subs = _substitutable_free_vars(prog)
-    sub_by_row = {(ci, ri): (j, a, f) for j, (ci, ri, a, f) in subs.items()}
+def _lower_primal(prog, E, h, S, s, G, g, obj) -> StandardForm:
+    # A free scalar v_j with a soc row u_r = a*v_j + const (the first such
+    # row) is the auxiliary cone coordinate u_r in disguise: v_j = u_r/a -
+    # const/a.  Splitting it into a difference of nonnegatives instead
+    # would degrade the scaling near convergence.  Other free scalars split.
+    free = _free_mask(prog)
+    single = np.flatnonzero(np.diff(S.indptr) == 1)
+    single = single[free[S.indices[S.indptr[single]]]]
+    sub, first = np.unique(S.indices[S.indptr[single]], return_index=True)
+    r = single[first]
+    a = S.data[S.indptr[r]]
+    cone = np.flatnonzero(~free)
+    free[sub] = False
+    split = np.flatnonzero(free)
 
-    K: list[ConeBlock] = []
-    col_of: dict[int, tuple] = {}  # prog var index -> ("col", c) | ("split", cp, cn)
-    ncols = 0
+    K = _cone_blocks(prog)
+    if split.size:
+        K += [ConeBlock("nonneg", split.size)] * 2
+    K += [ConeBlock("soc", len(rows)) for rows, _ in prog.soc_constraints]
+    if prog.inequalities:
+        K.append(ConeBlock("nonneg", len(prog.inequalities)))
 
-    for blk in prog.var_blocks:
-        if blk.kind == "free":
-            continue
-        kind = blk.kind
-        K.append(ConeBlock(kind, blk.dim))
-        for o in range(blk.scalar_len):
-            col_of[blk.start + o] = ("col", ncols + o)
-        ncols += blk.scalar_len
+    # columns: the cone variables, the positive and the negative parts of
+    # the split variables, the auxiliary soc coordinates, the slacks
+    nx = cone.size + 2 * split.size
+    var = np.concatenate([cone, split, split, sub])
+    col = np.concatenate([np.arange(nx), nx + r])
+    val = np.concatenate([np.ones(cone.size + split.size), -np.ones(split.size), 1.0 / a])
+    T = sp.csr_matrix((val, (var, col)), shape=(prog.num_vars, nx + S.shape[0] + G.shape[0]))
+    f = np.zeros(prog.num_vars)
+    f[sub] = -s[r] / a
 
-    split_vars = [
-        j
-        for blk in prog.var_blocks
-        if blk.kind == "free"
-        for j in range(blk.start, blk.start + blk.scalar_len)
-        if j not in subs
-    ]
-    if split_vars:
-        pos0 = ncols
-        K.append(ConeBlock("nonneg", len(split_vars)))
-        ncols += len(split_vars)
-        neg0 = ncols
-        K.append(ConeBlock("nonneg", len(split_vars)))
-        ncols += len(split_vars)
-        for k, j in enumerate(split_vars):
-            col_of[j] = ("split", pos0 + k, neg0 + k)
+    # rows [E T; I_aux - S T; I_slack + G T], less the soc rows that define
+    # a substituted variable
+    M = sp.vstack([E, -S, G], format="csr")
+    nE = E.shape[0]
+    J = sp.block_diag([sp.csr_matrix((nE, nx)), sp.identity(M.shape[0] - nE)], format="csr")
+    keep = np.delete(np.arange(M.shape[0]), nE + r)
+    A = (J + M @ T)[keep]
+    A.sort_indices()
 
-    aux_start = {}
-    for ci, (rows, consts) in enumerate(prog.soc_constraints):
-        aux_start[ci] = ncols
-        K.append(ConeBlock("soc", len(rows)))
-        ncols += len(rows)
-    for j, (ci, ri, a, f) in subs.items():
-        # v_j = (u_{ci,ri} - f) / a
-        col_of[j] = ("aux", aux_start[ci] + ri, a, f)
-
-    nslack = len(prog.inequalities)
-    slack0 = ncols
-    if nslack:
-        K.append(ConeBlock("nonneg", nslack))
-        ncols += nslack
-
-    def emit(row_dict, target_row):
-        """Expand a program row into standard-form columns; returns rhs shift."""
-        shift = 0.0
-        for j, v in row_dict.items():
-            loc = col_of[j]
-            if loc[0] == "col":
-                target_row[loc[1]] = target_row.get(loc[1], 0.0) + v
-            elif loc[0] == "split":
-                target_row[loc[1]] = target_row.get(loc[1], 0.0) + v
-                target_row[loc[2]] = target_row.get(loc[2], 0.0) - v
-            else:  # substituted: v_j = (u - f)/a
-                _, ucol, a, f = loc
-                target_row[ucol] = target_row.get(ucol, 0.0) + v / a
-                shift -= v * f / a
-        return shift
-
-    rows, rhs = [], []
-    for row, r in prog.equalities:
-        out = {}
-        shift = emit(row, out)
-        rows.append(out)
-        rhs.append(r - shift)
-    for ci, (crows, consts) in enumerate(prog.soc_constraints):
-        for ri, (crow, cconst) in enumerate(zip(crows, consts)):
-            if (ci, ri) in sub_by_row:
-                continue  # this row defines the substituted variable
-            out = {aux_start[ci] + ri: 1.0}
-            shift = emit({j: -v for j, v in crow.items()}, out)
-            rows.append(out)
-            rhs.append(cconst - shift)
-    for k, (row, u) in enumerate(prog.inequalities):
-        out = {slack0 + k: 1.0}
-        shift = emit(row, out)
-        rows.append(out)
-        rhs.append(u - shift)
-
-    cvec = np.zeros(ncols)
-    const = prog.objective_const
-    for j, v in prog.objective.items():
-        loc = col_of[j]
-        if loc[0] == "col":
-            cvec[loc[1]] += v
-        elif loc[0] == "split":
-            cvec[loc[1]] += v
-            cvec[loc[2]] -= v
-        else:
-            _, ucol, a, f = loc
-            cvec[ucol] += v / a
-            const += -v * f / a
-
-    sign = 1.0
-    if prog.sense == "max":
-        # program objective = -(c'x) + const, the shift is unaffected
-        cvec = -cvec
-        sign = -1.0
-
-    recover = []
-    for j in range(prog.num_vars):
-        recover.append(col_of.get(j, ("zero",)))
-
-    A = _rows_to_csr(rows, ncols)
+    # program objective = sign * c'x + obj_const
+    sign = -1.0 if prog.sense == "max" else 1.0
     return StandardForm(
         A=A,
-        b=np.asarray(rhs),
-        c=cvec,
+        b=(np.concatenate([h, s, g]) - M @ f)[keep],
+        c=sign * (T.T @ obj),
         K=K,
         form="P",
         obj_sign=sign,
-        obj_const=const,
-        recover=recover,
+        obj_const=float(prog.objective_const + obj @ f),
+        recover=(T, f),
         meta=dict(prog.metadata),
     )
 
 
-def _lower_dual(prog: ConicProgram) -> StandardForm:
-    p = prog.num_vars
-    K: list[ConeBlock] = []
-    at_rows = []  # rows of A' (each a dict over y indices)
-    cparts = []
-
-    for blk in prog.var_blocks:
-        if blk.kind == "free":
-            continue
-        K.append(ConeBlock(blk.kind, blk.dim))
-        for o in range(blk.scalar_len):
-            at_rows.append({blk.start + o: -1.0})
-            cparts.append(0.0)
-    for rows, consts in prog.soc_constraints:
-        K.append(ConeBlock("soc", len(rows)))
-        for row, cst in zip(rows, consts):
-            at_rows.append({j: -v for j, v in row.items()})
-            cparts.append(cst)
+def _lower_dual(prog, E, h, S, s, G, g, obj) -> StandardForm:
+    K = _cone_blocks(prog)
+    K += [ConeBlock("soc", len(rows)) for rows, _ in prog.soc_constraints]
     if prog.inequalities:
         K.append(ConeBlock("nonneg", len(prog.inequalities)))
-        for row, u in prog.inequalities:
-            at_rows.append(dict(row))
-            cparts.append(u)
     if prog.equalities:
         K.append(ConeBlock("zero", len(prog.equalities)))
-        for row, h in prog.equalities:
-            at_rows.append(dict(row))
-            cparts.append(h)
 
-    At = _rows_to_csr(at_rows, p)
-    A = sp.csr_matrix(At.T)
-    obj = np.zeros(p)
-    for j, v in prog.objective.items():
-        obj[j] = v
-    if prog.sense == "max":
-        b = obj
-        sign = 1.0
-    else:
-        b = -obj
-        sign = -1.0
-    recover = [("col", j) for j in range(p)]
+    # A' = [-I on the cone variables; -S; G; E]
+    p = prog.num_vars
+    cone = np.flatnonzero(~_free_mask(prog))
+    At = sp.vstack([-sp.identity(p, format="csr")[cone], -S, G, E], format="csr")
+    # program objective = sign * b'y + obj_const
+    sign = 1.0 if prog.sense == "max" else -1.0
     return StandardForm(
-        A=A,
-        b=b,
-        c=np.asarray(cparts),
+        A=sp.csr_matrix(At.T),
+        b=sign * obj,
+        c=np.concatenate([np.zeros(cone.size), s, g, h]),
         K=K,
         form="D",
         obj_sign=sign,
         obj_const=prog.objective_const,
-        recover=recover,
+        recover=(sp.identity(p, format="csr"), np.zeros(p)),
         meta=dict(prog.metadata),
     )
 
 
 def variable_values(sf: StandardForm, solution) -> np.ndarray:
     """Program-space variable values from a solver Solution."""
-    if sf.form == "P":
-        src = solution.x
-    else:
-        src = solution.y
-    out = np.zeros(len(sf.recover))
-    for j, loc in enumerate(sf.recover):
-        if loc[0] == "col":
-            out[j] = src[loc[1]]
-        elif loc[0] == "split":
-            out[j] = src[loc[1]] - src[loc[2]]
-        elif loc[0] == "aux":
-            _, ucol, a, f = loc
-            out[j] = (src[ucol] - f) / a
-    return out
+    T, f = sf.recover
+    return T @ (solution.x if sf.form == "P" else solution.y) + f
 
 
 def program_objective(sf: StandardForm, solution) -> float:

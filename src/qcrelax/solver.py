@@ -63,8 +63,9 @@ class SolverConfig:
     step_fraction: float = 0.99
 
     def __post_init__(self):
-        if min(self.tol_gap, self.tol_primal, self.tol_dual) <= 0:
-            raise ValueError("tolerances must be positive")
+        tols = (self.tol_gap, self.tol_primal, self.tol_dual)
+        if not all(np.isfinite(t) and t > 0 for t in tols):
+            raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must lie in (0, 1)")
         if self.max_iterations < 1:

@@ -88,6 +88,20 @@ def test_emit_completion(inst, tmp_path, capsys):
     assert np.allclose(X, X.T)
 
 
+def test_emit_completion_compact_is_upper_triangle_of_rows(inst, tmp_path, capsys):
+    full, compact = tmp_path / "full.json", tmp_path / "compact.json"
+    for out, extra in ((full, []), (compact, ["--compact"])):
+        argv = ["solve", str(inst), "--relax", "ssocp", "--emit-completion", str(out)]
+        assert main(argv + extra) == 0
+    X = np.array(json.loads(full.read_text())["rows"])
+    doc = json.loads(compact.read_text())
+    assert doc["dim"] == X.shape[0]
+    i, j = np.triu_indices(X.shape[0])
+    nz = X[i, j] != 0.0
+    want = [[int(a) + 1, int(b) + 1, float(v)] for a, b, v in zip(i[nz], j[nz], X[i, j][nz])]
+    assert doc["upper"] == want
+
+
 def test_emit_completion_wrong_relax_is_usage_error(inst, tmp_path, capsys):
     rc = main(
         ["solve", str(inst), "--relax", "fsdp", "--emit-completion",
@@ -180,10 +194,16 @@ def test_env_tolerance(inst, capsys, monkeypatch):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["status"] == "Optimal"
-    for bad in ("tight", "-1e-6"):
+    for bad in ("tight", "-1e-6", "nan", "inf"):
         monkeypatch.setenv("CONIC_SOLVER_TOL", bad)
         for argv in (["solve", str(inst)], ["compare", str(inst)]):
             assert main(argv + ["--relax", "ssocp"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ")
+    monkeypatch.delenv("CONIC_SOLVER_TOL")
+    for bad in ("nan", "inf"):  # the flag is checked the same way
+        for argv in (["solve", str(inst)], ["compare", str(inst)]):
+            assert main(argv + ["--relax", "ssocp", "--tol", bad]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ")
 

@@ -1,12 +1,26 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from qcrelax.build import (
+    build_dual_fsocp,
+    build_dual_ssocp,
+    build_fsdp,
+    build_fsocp,
+    build_ssdp,
+    build_ssocp,
+)
+from qcrelax.chordal import chordal_parts
+from qcrelax.generators import LatticeSpec, gen_lattice
+from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import (
     ConeBlock,
     ConicProgram,
     LoweringError,
+    StandardForm,
     export_sdpa,
     program_objective,
     smat,
@@ -227,3 +241,266 @@ def test_export_sdpa_matches_entrywise_oracle(tmp_path):
 def test_bad_form_rejected():
     with pytest.raises(LoweringError):
         to_standard_form(lp_program(), "X")
+
+
+# -- the dict-walking lowering, kept as the oracle of the affine map ----------
+
+
+def reference_rows_to_csr(rows, ncols):
+    data, ri, ci = [], [], []
+    for r, row in enumerate(rows):
+        for cidx, v in row.items():
+            if v != 0.0:
+                ri.append(r)
+                ci.append(cidx)
+                data.append(float(v))
+    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
+
+
+def reference_substitutable_free_vars(prog):
+    free_idx = set()
+    for blk in prog.var_blocks:
+        if blk.kind == "free":
+            free_idx.update(range(blk.start, blk.start + blk.scalar_len))
+    subs = {}
+    for ci, (rows, consts) in enumerate(prog.soc_constraints):
+        for ri, row in enumerate(rows):
+            if len(row) != 1:
+                continue
+            (j, a), = row.items()
+            if j in free_idx and j not in subs and a != 0.0:
+                subs[j] = (ci, ri, float(a), float(consts[ri]))
+    return subs
+
+
+def reference_lower_primal(prog):
+    """(P) by expanding every program row into columns, one tagged variable at a time."""
+    subs = reference_substitutable_free_vars(prog)
+    sub_by_row = {(ci, ri): (j, a, f) for j, (ci, ri, a, f) in subs.items()}
+    K, col_of, ncols = [], {}, 0
+    for blk in prog.var_blocks:
+        if blk.kind == "free":
+            continue
+        K.append(ConeBlock(blk.kind, blk.dim))
+        for o in range(blk.scalar_len):
+            col_of[blk.start + o] = ("col", ncols + o)
+        ncols += blk.scalar_len
+    split_vars = [
+        j
+        for blk in prog.var_blocks
+        if blk.kind == "free"
+        for j in range(blk.start, blk.start + blk.scalar_len)
+        if j not in subs
+    ]
+    if split_vars:
+        pos0 = ncols
+        neg0 = ncols + len(split_vars)
+        K += [ConeBlock("nonneg", len(split_vars))] * 2
+        ncols += 2 * len(split_vars)
+        for k, j in enumerate(split_vars):
+            col_of[j] = ("split", pos0 + k, neg0 + k)
+    aux_start = {}
+    for ci, (rows, _) in enumerate(prog.soc_constraints):
+        aux_start[ci] = ncols
+        K.append(ConeBlock("soc", len(rows)))
+        ncols += len(rows)
+    for j, (ci, ri, a, f) in subs.items():
+        col_of[j] = ("aux", aux_start[ci] + ri, a, f)  # v_j = (u - f) / a
+    slack0 = ncols
+    if prog.inequalities:
+        K.append(ConeBlock("nonneg", len(prog.inequalities)))
+        ncols += len(prog.inequalities)
+
+    def emit(row_dict, target_row):
+        shift = 0.0
+        for j, v in row_dict.items():
+            loc = col_of[j]
+            if loc[0] == "col":
+                target_row[loc[1]] = target_row.get(loc[1], 0.0) + v
+            elif loc[0] == "split":
+                target_row[loc[1]] = target_row.get(loc[1], 0.0) + v
+                target_row[loc[2]] = target_row.get(loc[2], 0.0) - v
+            else:
+                _, ucol, a, f = loc
+                target_row[ucol] = target_row.get(ucol, 0.0) + v / a
+                shift -= v * f / a
+        return shift
+
+    rows, rhs = [], []
+    for row, r in prog.equalities:
+        out = {}
+        shift = emit(row, out)
+        rows.append(out)
+        rhs.append(r - shift)
+    for ci, (crows, consts) in enumerate(prog.soc_constraints):
+        for ri, (crow, cconst) in enumerate(zip(crows, consts)):
+            if (ci, ri) in sub_by_row:
+                continue
+            out = {aux_start[ci] + ri: 1.0}
+            shift = emit({j: -v for j, v in crow.items()}, out)
+            rows.append(out)
+            rhs.append(cconst - shift)
+    for k, (row, u) in enumerate(prog.inequalities):
+        out = {slack0 + k: 1.0}
+        shift = emit(row, out)
+        rows.append(out)
+        rhs.append(u - shift)
+
+    cvec = np.zeros(ncols)
+    const = prog.objective_const
+    for j, v in prog.objective.items():
+        loc = col_of[j]
+        if loc[0] == "col":
+            cvec[loc[1]] += v
+        elif loc[0] == "split":
+            cvec[loc[1]] += v
+            cvec[loc[2]] -= v
+        else:
+            _, ucol, a, f = loc
+            cvec[ucol] += v / a
+            const += -v * f / a
+    sign = 1.0
+    if prog.sense == "max":
+        cvec = -cvec
+        sign = -1.0
+    recover = [col_of[j] for j in range(prog.num_vars)]
+    A = reference_rows_to_csr(rows, ncols)
+    return StandardForm(A, np.asarray(rhs), cvec, K, "P", sign, const, recover)
+
+
+def reference_lower_dual(prog):
+    """(D) by listing the rows of A' as dicts over the program variables."""
+    p = prog.num_vars
+    K, at_rows, cparts = [], [], []
+    for blk in prog.var_blocks:
+        if blk.kind == "free":
+            continue
+        K.append(ConeBlock(blk.kind, blk.dim))
+        for o in range(blk.scalar_len):
+            at_rows.append({blk.start + o: -1.0})
+            cparts.append(0.0)
+    for rows, consts in prog.soc_constraints:
+        K.append(ConeBlock("soc", len(rows)))
+        for row, cst in zip(rows, consts):
+            at_rows.append({j: -v for j, v in row.items()})
+            cparts.append(cst)
+    if prog.inequalities:
+        K.append(ConeBlock("nonneg", len(prog.inequalities)))
+        for row, u in prog.inequalities:
+            at_rows.append(dict(row))
+            cparts.append(u)
+    if prog.equalities:
+        K.append(ConeBlock("zero", len(prog.equalities)))
+        for row, h in prog.equalities:
+            at_rows.append(dict(row))
+            cparts.append(h)
+    A = sp.csr_matrix(reference_rows_to_csr(at_rows, p).T)
+    obj = np.zeros(p)
+    for j, v in prog.objective.items():
+        obj[j] = v
+    b, sign = (obj, 1.0) if prog.sense == "max" else (-obj, -1.0)
+    recover = [("col", j) for j in range(p)]
+    return StandardForm(A, b, np.asarray(cparts), K, "D", sign, prog.objective_const, recover)
+
+
+def reference_variable_values(sf, solution):
+    src = solution.x if sf.form == "P" else solution.y
+    out = np.zeros(len(sf.recover))
+    for j, loc in enumerate(sf.recover):
+        if loc[0] == "col":
+            out[j] = src[loc[1]]
+        elif loc[0] == "split":
+            out[j] = src[loc[1]] - src[loc[2]]
+        else:
+            _, ucol, a, f = loc
+            out[j] = (src[ucol] - f) / a
+    return out
+
+
+def lower_both_ways(prog, form):
+    """(new, reference) standard forms and their variable values at one random point."""
+    got = to_standard_form(prog, form)
+    want = (reference_lower_primal if form == "P" else reference_lower_dual)(prog)
+    rng = np.random.default_rng(0)
+    m, n = got.A.shape
+    point = SimpleNamespace(x=rng.standard_normal(n), y=rng.standard_normal(m))
+    return got, want, variable_values(got, point), reference_variable_values(want, point)
+
+
+def lattice_programs(nl):
+    data = homogenize(gen_lattice(LatticeSpec(nl, 20, 0)))
+    pattern = aggregate_pattern(data)
+    yield build_fsdp(data)
+    yield build_ssdp(data, *chordal_parts(pattern))
+    yield build_fsocp(data)
+    yield build_ssocp(data, pattern)
+    yield build_dual_fsocp(data)
+    yield build_dual_ssocp(data, pattern)
+
+
+@pytest.mark.parametrize("form", ["P", "D"])
+@pytest.mark.parametrize("nl", [3, 4, 5, 6])
+def test_lowering_is_byte_identical_to_the_dict_walking_oracle(nl, form):
+    for prog in lattice_programs(nl):
+        got, want, got_v, want_v = lower_both_ways(prog, form)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.A, name), getattr(want.A, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.A.shape == want.A.shape
+        for a, b in ((got.b, want.b), (got.c, want.c), (got_v, want_v)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.K == want.K
+        assert (got.obj_sign, got.obj_const) == (want.obj_sign, want.obj_const)
+        assert type(got.obj_const) is float
+
+
+def mixed_program(sense):
+    """Every column kind: cone variables, a split free variable, two
+    variables substituted through soc rows with a != 1 and a nonzero
+    constant (one pair sharing the equality and objective rows)."""
+    prog = ConicProgram(sense)
+    x = prog.add_var_block(("x",), "nonneg", 2).start
+    X = prog.add_var_block(("X",), "psd", 2).start
+    u = prog.add_var_block(("u",), "free", 3).start
+    t = prog.add_var_block(("t",), "soc", 3).start
+    # u is substituted with a = 3, u + 1 with a = 2.5, u + 2 is split
+    prog.add_soc_constraint(
+        [{x: 1.5, X: 0.25}, {u: 3.0}, {u + 1: -0.5, x + 1: 2.0}], [0.5, 0.7, -1.3]
+    )
+    prog.add_soc_constraint(
+        [{x + 1: 1.0}, {u + 1: 2.5}, {u + 2: 1.0, X + 2: 1.1}], [2.0, -0.3, 0.0]
+    )
+    prog.add_eq({x: 1.0, u: 0.3, u + 1: 1.7, u + 2: -2.2, t: 0.9}, 4.0)
+    prog.add_eq({X: 1.0, X + 2: 1.0, u + 1: 0.6}, 1.0)
+    prog.add_ineq({u: -1.1, x: 0.4, t + 2: 1.9}, 3.0)
+    prog.add_ineq({u + 2: 0.8, X + 1: -0.35}, 5.5)
+    prog.set_objective({x: 1.0, u: -0.75, u + 1: 1.25, u + 2: 0.5, t + 1: -0.2}, const=0.125)
+    return prog
+
+
+def cones_only_program(sense):
+    """No equalities and no inequalities: only soc constraints, one of them
+    defining a substituted variable."""
+    prog = ConicProgram(sense)
+    d = prog.add_var_block(("d",), "nonneg", 2).start
+    w = prog.add_var_block(("w",), "free", 1).start
+    prog.add_soc_constraint(
+        [{d: 0.5, d + 1: 0.5}, {d: 0.5, d + 1: -0.5}, {w: -4.0}], [1.0, 0.0, 0.6]
+    )
+    prog.set_objective({d: 1.0, w: 3.0}, const=-2.0)
+    return prog
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize("make", [mixed_program, cones_only_program])
+@pytest.mark.parametrize("form", ["P", "D"])
+def test_hand_written_lowering_matches_the_oracle(make, sense, form):
+    # v/a and v*(1/a) may differ in the last bit, so values agree to 1e-15
+    got, want, got_v, want_v = lower_both_ways(make(sense), form)
+    assert got.A.shape == want.A.shape and got.K == want.K
+    assert np.array_equal(got.A.indptr, want.A.indptr)
+    assert np.array_equal(got.A.indices, want.A.indices)
+    for a, b in ((got.A.data, want.A.data), (got.b, want.b), (got.c, want.c), (got_v, want_v)):
+        np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+    assert got.obj_sign == want.obj_sign
+    assert got.obj_const == pytest.approx(want.obj_const, rel=1e-15, abs=0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -76,6 +77,10 @@ def test_residuals_definition():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_gap=-1.0)
+    for bad in (math.nan, math.inf):
+        for name in ("tol_gap", "tol_primal", "tol_dual"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: bad})
     with pytest.raises(ValueError):
         SolverConfig(step_fraction=1.0)
     with pytest.raises(ValueError):
