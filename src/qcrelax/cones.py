@@ -41,7 +41,6 @@ def _sqrt_pair(M):
 class ConeLayout:
     def __init__(self, blocks):
         """blocks: list of ConeBlock; zero blocks become free coordinates."""
-        self.blocks = list(blocks)
         self.dim = sum(b.scalar_len for b in blocks)
         nn, free = [], []
         soc = {}  # dim -> list of start offsets
@@ -109,18 +108,16 @@ class ConeLayout:
 
     def max_step(self, z: np.ndarray, dz: np.ndarray) -> float:
         """sup { a >= 0 : z + t*dz in cone for all t in [0, a] }."""
-        alpha = np.inf
-        if self.nn_idx.size:
-            zi, di = z[self.nn_idx], dz[self.nn_idx]
-            neg = di < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-zi[neg] / di[neg])))
+        alpha = _ray_step(z[self.nn_idx], dz[self.nn_idx])
         for d, take in self._soc_take.items():
             zz, dd = z[take], dz[take]
             a = dd[:, 0] ** 2 - np.sum(dd[:, 1:] ** 2, axis=1)
             bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
             cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
-            alpha = min(alpha, float(np.min(_soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0]))))
+            steps = _soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0])
+            # no cone is left later than its head reaches zero; for d = 1 that
+            # is the exact step, whose double root rounding may lose
+            alpha = min(alpha, float(np.min(steps)), _ray_step(zz[:, 0], dd[:, 0]))
         for side, take in self._psd_take.items():
             tmin = float(np.min(_psd_boundary_rates(smat(z[take], side), smat(dz[take], side))))
             if tmin < 0:
@@ -131,6 +128,12 @@ class ConeLayout:
 
     def scaling(self, x: np.ndarray, s: np.ndarray) -> "Scaling":
         return Scaling(self, x, s)
+
+
+def _ray_step(z, dz):
+    """The smallest t > 0 where some coordinate of z + t*dz reaches zero (inf if none)."""
+    neg = dz < 0
+    return float(np.min(-z[neg] / dz[neg])) if np.any(neg) else np.inf
 
 
 def _soc_boundary_steps(a, b, c, z0, d0):

@@ -15,8 +15,10 @@ constraints).  The KKT system's sparsity pattern and the index maps
 into it are built once per solve (see _KktPattern); each iteration only
 computes values.  Constraint rows that are dense against the others (the
 quadratic constraints of S-SOCP in the (P) form) are kept out of the
-sparse LU and enter through a small dense Schur complement.  The
-fill-reducing ordering of the sparse factors is chosen once, at the first
+sparse LU and enter through a small dense Schur complement: each
+iteration assembles the sparse part K_s and the dense rows' columns E
+directly, and the whole KKT matrix is never built.  The fill-reducing
+ordering of the sparse factors is chosen once, at the first
 factorization, and every later factorization of the solve uses it (see
 _Ordering).
 """
@@ -68,8 +70,8 @@ class SolverConfig:
             raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass
@@ -218,10 +220,7 @@ class _KktPattern:
 
     with B = A W restricted to cone columns.  B's structural pattern
     (cones.ColumnPattern) depends only on A and the cone layout, so K's
-    CSC pattern is fixed for the solve.  `assemble` fills in the values
-    at one scaling: B's values from `Scaling.scale_columns`, gathered into
-    K's data array through `_src`, then the symmetric equilibration
-    D K D with D = diag(1/sqrt(max_j |K_ij|)), from one column-wise max.
+    pattern is fixed for the solve.
 
     Dense constraint rows are found here too.  A constraint row is dense
     if its KKT column has more than DENSE_ROW times the median constraint
@@ -232,11 +231,16 @@ class _KktPattern:
     85% of the entries, while in F-SOCP (n_L 4 to 8) they hold 24-52%
     and splitting them made its solves 16-28% slower.  The (2,2) block is
     zero, so the block between two dense rows is too, and K is
-    [[K_s, E], [E', 0]] up to a symmetric permutation.  `split` gathers K_s (in CSC, with the dense rows and
-    columns left out) and E (as a dense array, one column per dense row)
-    from K's data array through maps built here.  `dense` and `sparse`
-    are the KKT positions of the two parts; without dense rows, `dense`
-    is empty and K is factored as a whole.
+    [[K_s, E], [E', 0]] up to a symmetric permutation; `sparse` and `dense`
+    are the KKT positions of the two parts.  Without dense rows, E has no
+    columns and K_s is K.
+
+    K itself is never built.  K_s's CSC pattern and E's scatter map are
+    built here, every entry taking its value through `_src` from
+    [1 (identity), A_F, B].  `assemble` fills them in at one scaling: B's
+    values from `Scaling.scale_columns`, then the symmetric equilibration
+    D K D with D = diag(1/sqrt(max_j |K_ij|)), where K's column maxima are
+    those of K_s's columns and E's rows, and of E's columns.
     """
 
     def __init__(self, A, layout: ConeLayout):
@@ -256,83 +260,73 @@ class _KktPattern:
         rows = np.concatenate([diag, q + br, bc, q + af.row, q + p + af.col])
         cols = np.concatenate([diag, bc, q + br, q + p + af.col, q + af.row])
         src = np.concatenate([diag, b_at, b_at, a_at, a_at])
-        order = np.lexsort((rows, cols))
-        self.indices = rows[order].astype(np.intc)
-        counts = np.bincount(cols, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
-        self._src = src[order]
-        self._col = cols[order]
-        self._nonempty = np.flatnonzero(np.diff(self.indptr))
         self._const = np.concatenate([np.ones(q), af.data])
-        self.dense = self._dense_rows()
-        self.sparse = np.setdiff1d(np.arange(n), self.dense)
-        if self.dense.size:
-            self._split_gathers()
+        self.dense = self._dense_rows(np.bincount(cols, minlength=n))
+        is_dense = np.isin(np.arange(n), self.dense)
+        self.sparse = np.flatnonzero(~is_dense)
+        # each KKT position's row and column in K_s, or its column in E
+        at = np.where(is_dense, np.cumsum(is_dense), np.cumsum(~is_dense)) - 1
+        # K_s: the entries in no dense row or column, in CSC order
+        ks = ~is_dense[rows] & ~is_dense[cols]
+        r, c = at[rows[ks]], at[cols[ks]]
+        order = np.lexsort((r, c))
+        self.indices = r[order].astype(np.intc)
+        counts = np.bincount(c, minlength=self.sparse.size)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+        self._src = src[ks][order]
+        self._col = c[order]
+        self._nonempty = np.flatnonzero(counts)
+        # E: the entries in a dense column (E' repeats them), filled in as E'
+        # so that the entries of each dense row are contiguous
+        e = is_dense[cols] & ~is_dense[rows]
+        self._e_src = src[e]
+        self._e_at = at[cols[e]] * self.sparse.size + at[rows[e]]
 
-    def _dense_rows(self):
-        """KKT positions of the constraint rows split off from the sparse factorization."""
-        counts = np.diff(self.indptr)
+    def _dense_rows(self, counts):
+        """KKT positions of the constraint rows split off from the sparse factorization.
+
+        `counts` holds the number of entries in each KKT column.
+        """
         rows = counts[self.q : self.q + self.p]
         if rows.size == 0:
             return np.empty(0, dtype=int)
         dense = self.q + np.flatnonzero(rows > DENSE_ROW * np.median(rows))
         # no two dense rows share an entry, so each entry of theirs is in E or E'
-        if self.indptr[-1] - 2 * counts[dense].sum() > SPLIT_SHARE * self.indptr[-1]:
+        if counts.sum() - 2 * counts[dense].sum() > SPLIT_SHARE * counts.sum():
             return np.empty(0, dtype=int)
         return dense
 
-    def _split_gathers(self):
-        """Gathers of the KKT data array into K_s (CSC) and the dense block E."""
-        n, nd = self.n, self.dense.size
-        at = np.full(n, -1)
-        at[self.sparse] = np.arange(self.sparse.size)
-        is_dense = at < 0
-        rows, cols = self.indices, self._col
-        keep = ~is_dense[rows] & ~is_dense[cols]
-        self._ks_take = np.flatnonzero(keep)
-        self._ks_indices = at[rows[keep]].astype(np.intc)
-        counts = np.bincount(at[cols[keep]], minlength=self.sparse.size)
-        self._ks_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
-        col_at = np.zeros(n, dtype=int)
-        col_at[self.dense] = np.arange(nd)
-        coupling = ~is_dense[rows] & is_dense[cols]
-        self._e_take = np.flatnonzero(coupling)
-        self._e_at = at[rows[coupling]] * nd + col_at[cols[coupling]]
-
-    def split(self, kkt):
-        """(K_s, E): kkt without its dense rows, and its columns at them as a dense array.
-
-        Without dense rows this is (kkt, None).
-        """
-        if not self.dense.size:
-            return kkt, None
-        ns = self.sparse.size
-        ks = sp.csc_matrix(
-            (kkt.data[self._ks_take], self._ks_indices, self._ks_indptr), shape=(ns, ns)
-        )
-        e = np.zeros((ns, self.dense.size))
-        e.flat[self._e_at] = kkt.data[self._e_take]
-        return ks, e
-
     def assemble(self, scaling):
-        """The equilibrated KKT matrix at `scaling` and its equilibration vector."""
-        data = np.concatenate([self._const, scaling.scale_columns(self.columns)])[self._src]
-        cmax = np.zeros(self.n)
+        """(K_s, E, eq): the equilibrated KKT system at `scaling`, and eq by KKT position."""
+        vals = np.concatenate([self._const, scaling.scale_columns(self.columns)])
+        data = vals[self._src]
+        et = np.zeros(self.dense.size * self.sparse.size)
+        et[self._e_at] = vals[self._e_src]
+        et = et.reshape(self.dense.size, self.sparse.size)
+        cmax = np.zeros(self.sparse.size)
         cmax[self._nonempty] = np.maximum.reduceat(np.abs(data), self.indptr[self._nonempty])
-        eq = 1.0 / np.sqrt(np.maximum(cmax, 1e-12))
-        data *= eq[self.indices] * eq[self._col]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n)), eq
+        abs_et = np.abs(et)
+        eq = np.empty(self.n)
+        eq[self.sparse] = np.maximum(cmax, abs_et.max(axis=0, initial=0.0))
+        eq[self.dense] = abs_et.max(axis=1, initial=0.0)
+        eq = 1.0 / np.sqrt(np.maximum(eq, 1e-12))
+        eq_s = eq[self.sparse]
+        data *= eq_s[self.indices] * eq_s[self._col]
+        et *= eq[self.dense][:, None] * eq_s
+        ks = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.sparse.size,) * 2)
+        return ks, et.T, eq
 
 
 def _factor(pattern, ks, e, ordering, ridge):
-    """Factor K + ridge I from pattern.split(K); return a function that solves with it.
+    """Factor K + ridge I from (K_s, E); return a function that solves with it.
 
-    With dense rows, K is [[K_s, E], [E', 0]] up to a symmetric permutation:
-    K_s + ridge I is factored in `ordering`, and the Schur complement
-    S = ridge I - E' Z, Z = (K_s + ridge I)^-1 E, densely.
+    K is [[K_s, E], [E', 0]] up to a symmetric permutation: K_s + ridge I
+    is factored in `ordering`, and the Schur complement
+    S = ridge I - E' Z, Z = (K_s + ridge I)^-1 E, densely.  Without dense
+    rows, E has no columns and the sparse solve is returned as it is.
     """
     solve_s = ordering.factor(ks, ridge)
-    if e is None:
+    if not e.shape[1]:
         return solve_s
     z = solve_s(e)
     schur = ridge * np.eye(e.shape[1]) - e.T @ z
@@ -360,22 +354,22 @@ class _KktSolver:
     squared, which is what limits accuracy near convergence.  The (2,2)
     block is zero, so the system is not quasi-definite: SuperLU factors it
     with partial pivoting, in the column order that `ordering` (one
-    _Ordering per solve) picks.  With dense rows, only K_s goes to SuperLU;
-    Z = K_s^-1 E comes from one multi-column solve, and `lu_solve` does
-    block elimination with a dense LU of S = -E' Z.  That step is like the
-    normal equations on the dense rows alone, and the iterative refinement
-    of `solve2` still checks every solve against the unsplit system.  A
-    ridge is only introduced when a factorization fails outright, or when
-    S is singular.
+    _Ordering per solve) picks.  `_KktPattern.assemble` gives (K_s, E, eq),
+    and only K_s goes to SuperLU.  With dense rows, Z = K_s^-1 E comes from
+    one multi-column solve, and `lu_solve` does block elimination with a
+    dense LU of S = -E' Z; without them, K_s is K and `lu_solve` is its
+    sparse solve.  The Schur step is like the normal equations on the dense
+    rows alone, and the iterative refinement of `solve2` still checks every
+    solve against the unsplit system, through A.  A ridge is only
+    introduced when a factorization fails outright, or when S is singular.
     """
 
     def __init__(self, pattern: _KktPattern, scaling, ordering):
         self.pattern = pattern
         self.scaling = scaling
-        kkts, self.eq = pattern.assemble(scaling)
+        ks, e, self.eq = pattern.assemble(scaling)
         self.ok = False
         ridge = 0.0
-        ks, e = pattern.split(kkts)
         for _ in range(6):
             try:
                 self.lu_solve = _factor(pattern, ks, e, ordering, ridge)

@@ -3,8 +3,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from qcrelax.build import build_ssocp
 from qcrelax.cones import ColumnPattern, ConeLayout, _soc_boundary_steps
-from qcrelax.program import ConeBlock, smat, svec
+from qcrelax.generators import LatticeSpec, gen_lattice
+from qcrelax.model import aggregate_pattern, homogenize
+from qcrelax.program import ConeBlock, smat, svec, to_standard_form
 from qcrelax.solver import _KktPattern
 
 
@@ -82,6 +85,18 @@ def test_max_step_over_soc_groups():
     # first cone: head 2 - t meets tail norm 1 at t = 1; nonneg leaves at t = 4
     assert layout.max_step(z, dz) == pytest.approx(1.0)
     assert layout.max_step(z, np.zeros(8)) == np.inf
+
+
+def test_max_step_of_one_dimensional_socs_is_the_exact_step():
+    # the double root of a d = 1 cone's determinant often rounds to disc < 0,
+    # or to two roots about sqrt(eps) apart
+    layout = ConeLayout([ConeBlock("soc", 1)] * 1000)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        z, dz = rng.uniform(0.1, 2.0, 1000), rng.standard_normal(1000)
+        neg = dz < 0
+        exact = np.min(-z[neg] / dz[neg])
+        assert exact * (1.0 - 1e-7) <= layout.max_step(z, dz) <= exact
 
 
 # nonneg, soc, two psd blocks of side 2, a psd block of side 3, free columns
@@ -185,22 +200,51 @@ def reference_kkt(A, B, free_idx):
     return (D @ kkt @ D).tocsc(), eq
 
 
+def whole_kkt(pattern, ks, e):
+    """K rebuilt from its sparse part K_s and its dense-row columns E."""
+    kkt = np.zeros((pattern.n, pattern.n))
+    kkt[np.ix_(pattern.sparse, pattern.sparse)] = ks.toarray()
+    kkt[np.ix_(pattern.sparse, pattern.dense)] = e
+    kkt[np.ix_(pattern.dense, pattern.sparse)] = e.T
+    return kkt
+
+
+def scaling_at(layout, at_identity, rng):
+    """The scaling at W = I, or at a random interior pair."""
+    if at_identity:
+        return layout.scaling(layout.identity(), layout.identity())
+    return layout.scaling(interior_point(layout, rng), interior_point(layout, rng))
+
+
+def check_kkt_assembly(layout, sc, A, nd):
+    """(K_s, E, eq) at scaling sc against the sp.bmat oracle; nd rows of A are dense."""
+    B = [sc.apply_W(row) for row in A]
+    want, want_eq = reference_kkt(sp.csr_matrix(A), B, layout.free_idx)
+    pattern = _KktPattern(sp.csr_matrix(A), layout)
+    ks, e, eq = pattern.assemble(sc)
+    n = layout.dim + A.shape[0] + layout.free_idx.size
+    assert want.shape == (pattern.n, pattern.n) == (n, n)
+    assert ks.shape == (n - nd, n - nd) and e.shape == (n - nd, nd)
+    np.testing.assert_allclose(eq, want_eq, rtol=1e-12)
+    np.testing.assert_allclose(whole_kkt(pattern, ks, e), want.toarray(), rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("at_identity", [True, False])
 def test_kkt_assembly_matches_bmat_oracle(at_identity):
     layout = ConeLayout(MIXED)
     rng = np.random.default_rng(9)
-    if at_identity:
-        x = s = layout.identity()
-    else:
-        x, s = interior_point(layout, rng), interior_point(layout, rng)
-    sc = layout.scaling(x, s)
-    A = mixed_A(layout, rng)
-    B = [sc.apply_W(row) for row in A]
-    want, want_eq = reference_kkt(sp.csr_matrix(A), B, layout.free_idx)
-    got, eq = _KktPattern(sp.csr_matrix(A), layout).assemble(sc)
-    assert got.shape == want.shape == (layout.dim + 6 + 2,) * 2
-    np.testing.assert_allclose(eq, want_eq, rtol=1e-12)
-    np.testing.assert_allclose(got.toarray(), want.toarray(), rtol=1e-12, atol=1e-12)
+    sc = scaling_at(layout, at_identity, rng)
+    check_kkt_assembly(layout, sc, mixed_A(layout, rng), 0)
+
+
+@pytest.mark.parametrize("at_identity", [True, False])
+def test_kkt_assembly_with_dense_rows_matches_bmat_oracle(at_identity):
+    # S-SOCP in the (P) form: its 20 quadratic-constraint rows are dense
+    data = homogenize(gen_lattice(LatticeSpec(8, 20, 0)))
+    sf = to_standard_form(build_ssocp(data, aggregate_pattern(data)), "P")
+    layout = ConeLayout(sf.K)
+    sc = scaling_at(layout, at_identity, np.random.default_rng(9))
+    check_kkt_assembly(layout, sc, sf.A.toarray(), 20)
 
 
 def test_scaling_identities_on_psd_groups():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -83,8 +84,9 @@ def test_config_validation():
                 SolverConfig(**{name: bad})
     with pytest.raises(ValueError):
         SolverConfig(step_fraction=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iterations=bad)
 
 
 def test_primal_infeasible():
@@ -186,6 +188,19 @@ def test_mixed_cone_problem():
     sol = solve(make_sf(A, b, c, K), SolverConfig())
     assert sol.status == "Optimal"
     assert sol.primal_obj == pytest.approx(2.0 + np.sqrt(5.0), abs=1e-6)
+
+
+def test_one_dimensional_cones_step_like_nonneg_coordinates():
+    # S-SOCP with its nonneg blocks redeclared as SOC(1): the same cone, so the same solve
+    sf = _lattice_sf(build_ssocp, 8)
+    K = []
+    for blk in sf.K:
+        K += [ConeBlock("soc", 1)] * blk.dim if blk.kind == "nonneg" else [blk]
+    soc1 = solve(dataclasses.replace(sf, K=tuple(K)))
+    ref = solve(sf)
+    assert soc1.status == ref.status == "Optimal"
+    assert soc1.iterations == ref.iterations
+    assert soc1.primal_obj == pytest.approx(ref.primal_obj, rel=1e-9)
 
 
 # -- KKT ordering ----------------------------------------------------------------
@@ -339,9 +354,7 @@ def test_ridge_retry_with_cached_order():
 
 def _kkt_pattern(sf):
     """The KKT pattern that `solve` builds for sf."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # S-SDP emits duplicate rows by design
-        A, _, _ = solver_mod._drop_duplicate_rows(sp.csr_matrix(sf.A), sf.b)
+    A, _, _ = solver_mod._drop_duplicate_rows(sp.csr_matrix(sf.A), sf.b)
     return _KktPattern(A, ConeLayout(sf.K))
 
 
@@ -387,13 +400,22 @@ def _ssocp_scaling(layout, interior):
 
 @pytest.mark.parametrize("interior", [False, True])
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
-def test_block_elimination_matches_a_full_factorization(interior, ridge):
+def test_block_elimination_matches_a_full_factorization(monkeypatch, interior, ridge):
     sf = _lattice_sf(build_ssocp, 8)
     pattern = _kkt_pattern(sf)
-    assert pattern.dense.size == 20
-    kkt, _ = pattern.assemble(_ssocp_scaling(ConeLayout(sf.K), interior))
+    # with no row taken as dense, K_s is the whole of K
+    monkeypatch.setattr(_KktPattern, "_dense_rows", lambda self, counts: np.empty(0, dtype=int))
+    whole = _kkt_pattern(sf)
+    assert pattern.dense.size == 20 and whole.dense.size == 0
+    sc = _ssocp_scaling(ConeLayout(sf.K), interior)
+    ks, e, eq = pattern.assemble(sc)
+    kkt, e0, eq0 = whole.assemble(sc)
+    assert ks.shape == (pattern.n - 20,) * 2 and e.shape == (pattern.n - 20, 20)
+    assert kkt.shape == (pattern.n,) * 2 and e0.shape == (pattern.n, 0)
+    # both assemblies equilibrate the same K
+    assert np.array_equal(eq, eq0)
     r = np.random.default_rng(5).standard_normal(pattern.n)
-    got = _factor(pattern, *pattern.split(kkt), _Ordering(), ridge)(r)
+    got = _factor(pattern, ks, e, _Ordering(), ridge)(r)
     want = spla.splu(sp.csc_matrix(kkt + ridge * sp.eye(pattern.n))).solve(r)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -402,7 +424,7 @@ def test_split_solve_matches_the_unsplit_solve(monkeypatch):
     sf = _lattice_sf(build_ssocp, 8)
     assert _kkt_pattern(sf).dense.size == 20
     sol = solve(sf)
-    monkeypatch.setattr(_KktPattern, "_dense_rows", lambda self: np.empty(0, dtype=int))
+    monkeypatch.setattr(_KktPattern, "_dense_rows", lambda self, counts: np.empty(0, dtype=int))
     assert _kkt_pattern(sf).dense.size == 0
     ref = solve(sf)
     assert sol.status == ref.status == "Optimal"
@@ -422,9 +444,10 @@ def test_singular_schur_complement_takes_the_ridge_retry():
     sc = layout.scaling(rng.uniform(0.5, 2.0, q), rng.uniform(0.5, 2.0, q))
     pattern = _KktPattern(A, layout)
     np.testing.assert_array_equal(pattern.dense, q + np.arange(4))
-    kkt, _ = pattern.assemble(sc)
+    ks, e, _ = pattern.assemble(sc)
+    assert e.shape == (pattern.n - 4, 4)
     with pytest.raises(RuntimeError):
-        _factor(pattern, *pattern.split(kkt), _Ordering(), 0.0)
+        _factor(pattern, ks, e, _Ordering(), 0.0)
     state = _Ordering()
     solver = _KktSolver(pattern, sc, state)
     assert solver.ok
