@@ -80,8 +80,8 @@ def _build_relaxation(name, data, pattern):
     raise ValueError(f"unknown relaxation {name!r}")
 
 
-def _run_one(inst_path, relax, form, cfg):
-    inst = load_instance(inst_path)
+def _run_one(inst, name, relax, form, cfg):
+    """Solve one relaxation of a loaded instance; its record is labelled `name`."""
     data = homogenize(inst)
     pattern = aggregate_pattern(data)
     prog = _build_relaxation(relax, data, pattern)
@@ -91,7 +91,7 @@ def _run_one(inst_path, relax, form, cfg):
     wall = time.perf_counter() - t0
     inv = prog.cone_inventory()
     rec = {
-        "instance": str(inst_path),
+        "instance": name,
         "relaxation": relax,
         "form": form,
         "status": sol.status,
@@ -176,7 +176,8 @@ def cmd_solve(args) -> int:
         raise UsageError("--emit-completion requires --relax ssocp")
     cfg = _solver_config(args)
     try:
-        rec, prog, sf, sol = _run_one(args.instance, args.relax, args.form, cfg)
+        inst = load_instance(args.instance)
+        rec, prog, sf, sol = _run_one(inst, args.instance, args.relax, args.form, cfg)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -206,46 +207,46 @@ def cmd_compare(args) -> int:
         raise UsageError("no instances given (pass files or --sweep-nl)")
     cfg = _solver_config(args)
 
-    instances = list(args.instances)
-    tmp_files = []
-    try:
-        if sweep:
-            import tempfile
-
-            for spec in sweep:
-                inst = gen_lattice(spec)
-                fh = tempfile.NamedTemporaryFile("w", suffix=f"-nl{spec.n_L}.json", delete=False)
-                fh.close()
-                tmp_files.append(fh.name)
-                save_instance(inst, fh.name)
-                instances.append(fh.name)
-        text, nrows = _compare_table(instances, relaxations, args.form, cfg, args.out)
-        if not args.out:
-            sys.stdout.write(text)
-            return 0
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out} ({nrows} rows)")
+    text, nrows = _compare_table(
+        _compare_instances(args.instances, sweep), relaxations, args.form, cfg, args.out
+    )
+    if not args.out:
+        sys.stdout.write(text)
         return 0
-    finally:
-        for path in tmp_files:
-            os.unlink(path)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {args.out} ({nrows} rows)")
+    return 0
+
+
+def _compare_instances(paths, sweep):
+    """(label, instance) pairs: each file, loaded once, then each swept lattice.
+
+    A file that cannot be loaded is skipped with a warning.
+    """
+    for path in paths:
+        try:
+            yield path, load_instance(path)
+        except INPUT_ERRORS as exc:
+            print(f"warning: cannot load {path}: {exc}", file=sys.stderr)
+    for spec in sweep:
+        yield f"lattice-nl{spec.n_L}-m{spec.m}-seed{spec.seed}", gen_lattice(spec)
 
 
 def _compare_table(instances, relaxations, form, cfg, out):
-    """The comparison table as CSV, or Markdown when `out` ends in .md."""
+    """The table of (label, instance) pairs as CSV, or Markdown when `out` ends in .md."""
     rows = []
-    for path in instances:
+    for name, inst in instances:
         recs = {}
         for relax in relaxations:
             try:
-                rec, _, _, _ = _run_one(path, relax, form, cfg)
+                rec, _, _, _ = _run_one(inst, name, relax, form, cfg)
             except INPUT_ERRORS as exc:
-                print(f"warning: {relax} on {path} failed: {exc}", file=sys.stderr)
+                print(f"warning: {relax} on {name} failed: {exc}", file=sys.stderr)
                 continue
             recs[relax] = rec
         objs = [

@@ -1,16 +1,21 @@
 """Symmetric-cone operations for the interior-point solver.
 
 A ConeLayout groups the scalar coordinates of a standard-form variable
-into nonnegative coordinates, second-order cones batched by dimension
-(`soc_groups`), PSD blocks in svec coordinates batched by matrix side
-(`psd_groups`) and free coordinates.  Each group has a (k, L) take-index
-array, so every operation runs once per group on stacked arrays: the SOC
-formulas on (k, d) arrays, the PSD ones on (k, side, side) matrix stacks
-with batched `eigh`, `cholesky` and `matmul`.  The layout provides the
-Jordan-algebra pieces the solver needs: identity element, barrier degree,
-strict interior checks, maximum step to the boundary and Nesterov-Todd
-scalings.  `ColumnPattern` is the structural pattern of the KKT block
-B = A W, fixed for a solve; `Scaling.scale_columns` fills in its values.
+into second-order cones batched by dimension (`soc_groups`), PSD blocks in
+svec coordinates batched by matrix side (`psd_groups`) and free
+coordinates.  A nonnegative coordinate is the one-dimensional second-order
+cone SOC(1), so nonneg blocks land in `soc_groups[1]` and take the SOC
+path everywhere.  Each group has a (k, L) take-index array, so every
+operation runs once per group on stacked arrays: the SOC formulas on
+(k, d) arrays, the PSD ones on (k, side, side) matrix stacks with batched
+`eigh`, `cholesky` and `matmul`.  The layout provides the Jordan-algebra
+pieces the solver needs: identity element, barrier degree, strict
+interior checks, maximum step to the boundary and Nesterov-Todd scalings.
+The NT scaling of a second-order cone is W = eta (2 q q' - J), and its
+inverse (2 Jq (Jq)' - J) / eta has the same form, so `Scaling` keeps the
+pairs (q, eta) and (Jq, 1/eta) and applies both by one formula.
+`ColumnPattern` is the structural pattern of the KKT block B = A W, fixed
+for a solve; `Scaling.scale_columns` fills in its values.
 
 Free coordinates have no associated cone; the solver keeps their dual
 slack pinned at zero and they never enter scalings or step lengths.
@@ -40,16 +45,19 @@ def _sqrt_pair(M):
 
 class ConeLayout:
     def __init__(self, blocks):
-        """blocks: list of ConeBlock; zero blocks become free coordinates."""
+        """blocks: list of ConeBlock; zero blocks become free coordinates.
+
+        Each coordinate of a nonneg block becomes an SOC(1) cone in `soc_groups[1]`.
+        """
         self.dim = sum(b.scalar_len for b in blocks)
-        nn, free = [], []
-        soc = {}  # dim -> list of start offsets
+        free = []
+        soc = {}  # dim -> list of start offsets; a nonneg coordinate is SOC(1)
         psd = {}  # side -> list of start offsets
         off = 0
         for b in blocks:
             L = b.scalar_len
             if b.kind == "nonneg":
-                nn.extend(range(off, off + L))
+                soc.setdefault(1, []).extend(range(off, off + L))
             elif b.kind == "soc":
                 soc.setdefault(b.dim, []).append(off)
             elif b.kind == "psd":
@@ -57,11 +65,10 @@ class ConeLayout:
             elif b.kind == "zero":
                 free.extend(range(off, off + L))
             off += L
-        self.nn_idx = np.asarray(nn, dtype=int)
         self.free_idx = np.asarray(free, dtype=int)
         self.soc_groups = {d: np.asarray(s, dtype=int) for d, s in sorted(soc.items())}
         self.psd_groups = {n: np.asarray(s, dtype=int) for n, s in sorted(psd.items())}
-        self.degree = len(nn) + sum(map(len, soc.values()))
+        self.degree = sum(map(len, soc.values()))
         self.degree += sum(n * len(s) for n, s in psd.items())
         # index matrices for batched access: rows are cones, cols coords
         self._soc_take = {
@@ -76,7 +83,6 @@ class ConeLayout:
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
-        e[self.nn_idx] = 1.0
         for starts in self.soc_groups.values():
             e[starts] = 1.0
         for side, take in self._psd_take.items():
@@ -84,8 +90,6 @@ class ConeLayout:
         return e
 
     def in_interior(self, z: np.ndarray) -> bool:
-        if self.nn_idx.size and np.min(z[self.nn_idx]) <= 0.0:
-            return False
         for take in self._soc_take.values():
             zz = z[take]
             if np.any(zz[:, 0] - np.linalg.norm(zz[:, 1:], axis=1) <= 0.0):
@@ -99,7 +103,7 @@ class ConeLayout:
 
     def dot_trace(self, x: np.ndarray, s: np.ndarray) -> float:
         """x . s over cone coordinates only (free coords excluded)."""
-        total = float(x[self.nn_idx] @ s[self.nn_idx])
+        total = 0.0
         for take in (*self._soc_take.values(), *self._psd_take.values()):
             total += float(np.sum(x[take] * s[take]))
         return total
@@ -108,16 +112,19 @@ class ConeLayout:
 
     def max_step(self, z: np.ndarray, dz: np.ndarray) -> float:
         """sup { a >= 0 : z + t*dz in cone for all t in [0, a] }."""
-        alpha = _ray_step(z[self.nn_idx], dz[self.nn_idx])
+        alpha = np.inf
         for d, take in self._soc_take.items():
             zz, dd = z[take], dz[take]
-            a = dd[:, 0] ** 2 - np.sum(dd[:, 1:] ** 2, axis=1)
-            bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
-            cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
-            steps = _soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0])
             # no cone is left later than its head reaches zero; for d = 1 that
-            # is the exact step, whose double root rounding may lose
-            alpha = min(alpha, float(np.min(steps)), _ray_step(zz[:, 0], dd[:, 0]))
+            # is the exact step, which the double root of the quadratic may
+            # lose to rounding, so the quadratic is skipped there
+            alpha = min(alpha, _ray_step(zz[:, 0], dd[:, 0]))
+            if d > 1:
+                a = dd[:, 0] ** 2 - np.sum(dd[:, 1:] ** 2, axis=1)
+                bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
+                cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
+                steps = _soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0])
+                alpha = min(alpha, float(np.min(steps)))
         for side, take in self._psd_take.items():
             tmin = float(np.min(_psd_boundary_rates(smat(z[take], side), smat(dz[take], side))))
             if tmin < 0:
@@ -158,6 +165,21 @@ def _soc_boundary_steps(a, b, c, z0, d0):
     return np.min(np.where(ok, roots, np.inf), axis=0)
 
 
+def _j(u):
+    """J u for each row of a (k, d) stack: the tail's sign reversed."""
+    ju = u.copy()
+    ju[:, 1:] = -ju[:, 1:]
+    return ju
+
+
+def _soc_apply(q, eta, u):
+    """eta (2 q q' - J) u for each cone of a (k, d) stack.
+
+    This is W u for the pair (q, eta) of a `Scaling`, and W^-1 u for (Jq, 1/eta).
+    """
+    return eta[:, None] * (2.0 * q * np.sum(q * u, axis=1)[:, None] - _j(u))
+
+
 def _psd_boundary_rates(Z, D):
     """Per block of a stack, the smallest generalized eigenvalue w of (D, Z).
 
@@ -182,10 +204,6 @@ class Scaling:
         self.layout = layout
         self.lmbda = np.zeros(layout.dim)
 
-        idx = layout.nn_idx
-        self._nn_w = np.sqrt(x[idx] / s[idx])
-        self.lmbda[idx] = np.sqrt(x[idx] * s[idx])
-
         self._soc = {}
         for d, take in layout._soc_take.items():
             xx, ss = x[take], s[take]
@@ -194,18 +212,16 @@ class Scaling:
             xb = xx / np.sqrt(detx)[:, None]
             sb = ss / np.sqrt(dets)[:, None]
             gamma = np.sqrt((1.0 + np.sum(xb * sb, axis=1)) / 2.0)
-            # J reverses the sign of the tail
-            jsb = sb.copy()
-            jsb[:, 1:] = -jsb[:, 1:]
-            wb = (xb + jsb) / (2.0 * gamma[:, None])
+            wb = (xb + _j(sb)) / (2.0 * gamma[:, None])
             # W is P(w)^(1/2): built from the Jordan square root of the
             # scaling point, q = (wb + e) / sqrt(2 (1 + wb_0)), q' J q = 1
             q = wb.copy()
             q[:, 0] += 1.0
             q /= np.sqrt(2.0 * (1.0 + wb[:, 0]))[:, None]
             eta = (detx / dets) ** 0.25
-            self._soc[d] = (q, eta)
-            self.lmbda[take] = self._soc_apply(q, eta, ss)
+            # W = eta (2 q q' - J) and W^-1 = (2 Jq (Jq)' - J) / eta
+            self._soc[d] = ((q, eta), (_j(q), 1.0 / eta))
+            self.lmbda[take] = _soc_apply(q, eta, ss)
 
         # psd: W u = svec(R U R) with R the square root of the NT point Wm
         self._psd = {}
@@ -220,41 +236,24 @@ class Scaling:
             Lam = R @ S @ R
             self.lmbda[take] = svec((Lam + _t(Lam)) / 2.0)
 
-    # soc helpers: W u = eta (2 wb (wb.u) - J u)
-    @staticmethod
-    def _soc_apply(wb, eta, u):
-        dot = np.sum(wb * u, axis=1)
-        ju = u.copy()
-        ju[:, 1:] = -ju[:, 1:]
-        return eta[:, None] * (2.0 * wb * dot[:, None] - ju)
-
-    @staticmethod
-    def _soc_apply_inv(wb, eta, u):
-        jw = wb.copy()
-        jw[:, 1:] = -jw[:, 1:]
-        dot = np.sum(jw * u, axis=1)
-        ju = u.copy()
-        ju[:, 1:] = -ju[:, 1:]
-        return (2.0 * jw * dot[:, None] - ju) / eta[:, None]
-
-    def _map(self, u, nn_fn, soc_fn, inverse):
+    def _map(self, u, inverse):
         out = np.zeros_like(u)
+        k = 1 if inverse else 0
         lay = self.layout
-        out[lay.nn_idx] = nn_fn(u[lay.nn_idx])
         for d, take in lay._soc_take.items():
-            wb, eta = self._soc[d]
-            out[take] = soc_fn(wb, eta, u[take])
+            q, eta = self._soc[d][k]
+            out[take] = _soc_apply(q, eta, u[take])
         for side, take in lay._psd_take.items():
-            R = self._psd[side][1 if inverse else 0]
+            R = self._psd[side][k]
             V = R @ smat(u[take], side) @ R
             out[take] = svec((V + _t(V)) / 2.0)
         return out
 
     def apply_W(self, u):
-        return self._map(u, lambda v: self._nn_w * v, self._soc_apply, False)
+        return self._map(u, False)
 
     def apply_Winv(self, u):
-        return self._map(u, lambda v: v / self._nn_w, self._soc_apply_inv, True)
+        return self._map(u, True)
 
     def apply_Hinv(self, u):
         return self.apply_Winv(self.apply_Winv(u))
@@ -265,7 +264,6 @@ class Scaling:
         """u o v in scaled coordinates."""
         out = np.zeros_like(u)
         lay = self.layout
-        out[lay.nn_idx] = u[lay.nn_idx] * v[lay.nn_idx]
         for d, take in lay._soc_take.items():
             uu, vv = u[take], v[take]
             prod = np.empty_like(uu)
@@ -281,7 +279,6 @@ class Scaling:
         """Solve lambda o u = d for u."""
         out = np.zeros_like(d)
         lay = self.layout
-        out[lay.nn_idx] = d[lay.nn_idx] / self.lmbda[lay.nn_idx]
         for take in lay._soc_take.values():
             lam, rhs = self.lmbda[take], d[take]
             l0, l1 = lam[:, 0], lam[:, 1:]
@@ -303,18 +300,17 @@ class Scaling:
     def scale_columns(self, pattern: "ColumnPattern") -> np.ndarray:
         """Values of B = A W at this scaling, in the order of `pattern`'s entries.
 
-        The nonneg and SOC entries are one `np.bincount` of the products
-        A[r, l] W[l, k] over the pattern's precomputed index maps.  For
-        each psd side group, the congruences R M R of the pattern's stack
-        of (row, block) matrices are taken by one batched matmul.
+        The SOC entries, nonneg coordinates among them, are one
+        `np.bincount` of the products A[r, l] W[l, k] over the pattern's
+        precomputed index maps, with W's dense blocks built from the same
+        (q, eta) that `apply_W` reads.  For each psd side group, the
+        congruences R M R of the pattern's stack of (row, block) matrices
+        are taken by one batched matmul.
         """
-        w = [self._nn_w]
-        for d, (wb, eta) in self._soc.items():
-            # dense symmetric d x d blocks: eta (2 wb wb' - J), J = diag(1, -1, ..)
-            blocks = 2.0 * wb[:, :, None] * wb[:, None, :]
-            jdiag = -np.ones(d)
-            jdiag[0] = 1.0
-            blocks[:, np.arange(d), np.arange(d)] -= jdiag[None, :]
+        w = [np.zeros(0)]
+        for (q, eta), _ in self._soc.values():
+            # the dense symmetric blocks of W = eta (2 q q' - J)
+            blocks = 2.0 * q[:, :, None] * q[:, None, :] - _j(np.eye(q.shape[1]))
             blocks *= eta[:, None, None]
             w.append(blocks.ravel())
         dst, a, src = pattern._products
@@ -347,16 +343,16 @@ class ColumnPattern:
     """Structural pattern of B = A W over the cone columns, fixed for a solve.
 
     W is block diagonal, so a row of A that touches a cone gives B a dense
-    row segment over that cone's columns: one entry per nonzero in a
-    nonneg column, a dense d-vector per (row, SOC) pair and a dense svec
-    row per (row, PSD block) pair.  Free columns have no entries.  `rows`
-    and `cols` list B's entries in the order `Scaling.scale_columns`
-    returns their values: nonneg and SOC entries first, then the PSD side
-    groups.  Entries that happen to be zero at some W, such as the
-    off-diagonal SOC entries at W = I, are kept, so the pattern is the
-    same at every iteration.
+    row segment over that cone's columns: a dense d-vector per (row, SOC)
+    pair, which for a nonneg coordinate, SOC(1), is its one entry, and a
+    dense svec row per (row, PSD block) pair.  Free columns have no
+    entries.  `rows` and `cols` list B's entries in the order
+    `Scaling.scale_columns` returns their values: the SOC groups first,
+    then the PSD side groups.  Entries that happen to be zero at some W,
+    such as the off-diagonal SOC entries at W = I, are kept, so the pattern
+    is the same at every iteration.
 
-    For the nonneg and SOC entries, `_products` holds, for every product
+    For the SOC entries, `_products` holds, for every product
     A[r, l] W[l, k], the entry it adds to, the value of A and the position
     of W[l, k] among the scaling's flattened blocks.  For each PSD side
     group, `_psd` holds the stack M of (row, block) matrices smat(row of A
@@ -365,10 +361,9 @@ class ColumnPattern:
 
     def __init__(self, layout: ConeLayout, A: sp.spmatrix):
         A = sp.coo_matrix(A)
-        rows, cols, dst, avals, src = [], [], [], [], []
+        rows, cols, dst, avals, src = ([np.zeros(0, dtype=int)] for _ in range(5))
         n = w0 = 0  # entries and W values so far
-        # a nonneg coordinate is a one-dimensional cone with W = [[w]]
-        for d, take in [(1, layout.nn_idx[:, None]), *layout._soc_take.items()]:
+        for d, take in layout._soc_take.items():
             r, cone, which, pos, a = _touching(A, take)
             rows.append(np.repeat(r, d))
             cols.append(take[cone].ravel())
@@ -378,7 +373,7 @@ class ColumnPattern:
             src.append((w0 + (cone[which] * d + pos)[:, None] * d + k).ravel())
             n += r.size * d
             w0 += len(take) * d * d
-        self._n_soc = n  # entries in nonneg and SOC columns
+        self._n_soc = n  # entries in SOC columns
         self._products = tuple(np.concatenate(v) for v in (dst, avals, src))
         self._psd = []
         for side, take in layout._psd_take.items():

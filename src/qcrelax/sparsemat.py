@@ -82,11 +82,3 @@ class SparseSymMatrix:
             else:
                 total += 2.0 * v * x[i - 1, j - 1]
         return total
-
-    def __add__(self, other: "SparseSymMatrix") -> "SparseSymMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0.0) + v
-        return SparseSymMatrix(self.dim, out)

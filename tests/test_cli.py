@@ -182,6 +182,33 @@ def test_compare_removes_sweep_files_when_writing_out_fails(tmp_path, monkeypatc
     assert list(sweep_dir.iterdir()) == []
 
 
+def test_compare_sweep_rows_are_labelled_by_lattice_spec(tmp_path):
+    out = tmp_path / "table.csv"
+    argv = ["compare", "--sweep-nl", "3,4", "--m", "3", "--seed", "2", "--relax", "ssocp"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["lattice-nl3-m3-seed2", "lattice-nl4-m3-seed2"]
+
+
+def test_compare_warns_on_a_missing_file_and_loads_each_file_once(
+    inst, tmp_path, monkeypatch, capsys
+):
+    from qcrelax import cli
+
+    loads = []
+    load = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", lambda path: loads.append(path) or load(path))
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "table.csv"
+    rc = main(["compare", missing, str(inst), "--relax", "fsocp,ssocp", "--out", str(out)])
+    assert rc == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and missing in warnings[0]
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [[str(inst), "fsocp"], [str(inst), "ssocp"]]
+    assert loads == [missing, str(inst)]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

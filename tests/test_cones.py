@@ -114,7 +114,6 @@ PSD3 = slice(13, 19)  # the side-3 block's svec coordinates
 def interior_point(layout, rng):
     """A random strictly interior point, with zeros on the free coordinates."""
     z = np.zeros(layout.dim)
-    z[layout.nn_idx] = rng.uniform(0.5, 2.0, layout.nn_idx.size)
     for d, take in layout._soc_take.items():
         tail = rng.standard_normal((len(take), d - 1))
         z[take[:, 1:]] = tail
@@ -149,8 +148,7 @@ def mixed_A(layout, rng):
 
 def structural_pattern(layout, A):
     """Every (row, column) where B = A W can be nonzero: the row's cone segments."""
-    cones = [[j] for j in layout.nn_idx]
-    cones += [list(t) for take in layout._soc_take.values() for t in take]
+    cones = [list(t) for take in layout._soc_take.values() for t in take]
     cones += [list(t) for take in layout._psd_take.values() for t in take]
     return {(r, j) for r in range(A.shape[0]) for c in cones if A[r, c].any() for j in c}
 
@@ -258,6 +256,48 @@ def test_scaling_identities_on_psd_groups():
     d = rng.standard_normal(layout.dim)
     d[layout.free_idx] = 0.0
     np.testing.assert_allclose(sc.jordan(sc.lmbda, sc.lam_solve(d)), d, atol=1e-10)
+
+
+# a nonneg block beside SOC(1), SOC(2), SOC(3) and SOC(5) cones, and a psd block
+EVERY_SOC = [
+    ConeBlock("nonneg", 2),
+    ConeBlock("soc", 1),
+    ConeBlock("soc", 3),
+    ConeBlock("psd", 3),
+    ConeBlock("soc", 2),
+    ConeBlock("soc", 5),
+    ConeBlock("soc", 3),
+]
+
+
+def test_nt_scaling_on_every_soc_dimension():
+    layout = ConeLayout(EVERY_SOC)
+    assert list(layout.soc_groups[1]) == [0, 1, 2]  # nonneg coordinates are SOC(1) cones
+    rng = np.random.default_rng(11)
+    x, s = interior_point(layout, rng), interior_point(layout, rng)
+    sc = layout.scaling(x, s)
+    eye = np.eye(layout.dim)
+    W = np.array([sc.apply_W(u) for u in eye]).T
+    Winv = np.array([sc.apply_Winv(u) for u in eye]).T
+    # W is symmetric and block diagonal over the cones, and apply_Winv inverts it
+    blocks = [t for take in (*layout._soc_take.values(), *layout._psd_take.values()) for t in take]
+    on_block = np.zeros(W.shape, dtype=bool)
+    for t in blocks:
+        on_block[np.ix_(t, t)] = True
+    assert not W[~on_block].any() and not Winv[~on_block].any()
+    np.testing.assert_allclose(W, W.T, rtol=0.0, atol=1e-14 * np.abs(W).max())
+    np.testing.assert_allclose(W @ Winv, eye, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(W @ s, sc.lmbda, rtol=1e-12)
+    np.testing.assert_allclose(Winv @ x, sc.lmbda, rtol=1e-12)
+    # W J W = sqrt(det x / det s) J on each SOC; for d = 1 this reads w^2 = x / s
+    for d, take in layout._soc_take.items():
+        J = np.diag([1.0] + [-1.0] * (d - 1))
+        for t in take:
+            det_x = x[t[0]] ** 2 - x[t[1:]] @ x[t[1:]]
+            det_s = s[t[0]] ** 2 - s[t[1:]] @ s[t[1:]]
+            Wc = W[np.ix_(t, t)]
+            want = np.sqrt(det_x / det_s) * J
+            np.testing.assert_allclose(Wc @ J @ Wc, want, rtol=1e-12, atol=1e-12)
 
 
 def test_in_interior_rejects_one_bad_block_in_a_side_group():
