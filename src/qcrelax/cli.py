@@ -207,20 +207,22 @@ def cmd_compare(args) -> int:
         raise UsageError("no instances given (pass files or --sweep-nl)")
     cfg = _solver_config(args)
 
-    text, nrows = _compare_table(
+    text, statuses = _compare_table(
         _compare_instances(args.instances, sweep), relaxations, args.form, cfg, args.out
     )
+    # a table with no row, or with a row that is not Optimal, is a solve failure
+    rc = 0 if statuses and all(st == "Optimal" for st in statuses) else 1
     if not args.out:
         sys.stdout.write(text)
-        return 0
+        return rc
     try:
         with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {args.out} ({nrows} rows)")
-    return 0
+    print(f"wrote {args.out} ({len(statuses)} rows)")
+    return rc
 
 
 def _compare_instances(paths, sweep):
@@ -238,8 +240,11 @@ def _compare_instances(paths, sweep):
 
 
 def _compare_table(instances, relaxations, form, cfg, out):
-    """The table of (label, instance) pairs as CSV, or Markdown when `out` ends in .md."""
-    rows = []
+    """The table of (label, instance) pairs as CSV, or Markdown when `out` ends in .md.
+
+    Returns the table's text and the status of each of its rows.
+    """
+    rows, statuses = [], []
     for name, inst in instances:
         recs = {}
         for relax in relaxations:
@@ -270,6 +275,7 @@ def _compare_table(instances, relaxations, form, cfg, out):
             ):
                 ratio = f"{recs['fsocp']['wall_time_s'] / rec['wall_time_s']:.2f}"
             rows.append((_record_csv(rec), agree, ratio))
+            statuses.append(rec["status"])
 
     header = CSV_HEADER + ",agreement,fsocp_ssocp_time_ratio"
     if out and out.endswith(".md"):
@@ -277,9 +283,9 @@ def _compare_table(instances, relaxations, form, cfg, out):
         md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
         for r, a, t in rows:
             md.append("| " + " | ".join(r.split(",") + [a, t]) + " |")
-        return "\n".join(md) + "\n", len(rows)
+        return "\n".join(md) + "\n", statuses
     lines = [header] + [f"{r},{a},{t}" for r, a, t in rows]
-    return "\n".join(lines) + "\n", len(rows)
+    return "\n".join(lines) + "\n", statuses
 
 
 def cmd_export(args) -> int:

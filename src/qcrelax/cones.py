@@ -12,8 +12,9 @@ operation runs once per group on stacked arrays: the SOC formulas on
 pieces the solver needs: identity element, barrier degree, strict
 interior checks, maximum step to the boundary and Nesterov-Todd scalings.
 The NT scaling of a second-order cone is W = eta (2 q q' - J), and its
-inverse (2 Jq (Jq)' - J) / eta has the same form, so `Scaling` keeps the
-pairs (q, eta) and (Jq, 1/eta) and applies both by one formula.
+inverse (2 Jq (Jq)' - J) / eta has the same form, so `Scaling` builds both
+by one formula and keeps them as dense (k, d, d) blocks per group, applied
+by one batched matrix-vector product.
 `ColumnPattern` is the structural pattern of the KKT block B = A W, fixed
 for a solve; `Scaling.scale_columns` fills in its values.
 
@@ -172,12 +173,16 @@ def _j(u):
     return ju
 
 
-def _soc_apply(q, eta, u):
-    """eta (2 q q' - J) u for each cone of a (k, d) stack.
+def _soc_blocks(q, eta):
+    """The dense (k, d, d) blocks eta (2 q q' - J) of a (k, d) stack.
 
-    This is W u for the pair (q, eta) of a `Scaling`, and W^-1 u for (Jq, 1/eta).
+    These are W's blocks for the pair (q, eta) of a `Scaling`, and W^-1's
+    for (Jq, 1/eta).
     """
-    return eta[:, None] * (2.0 * q * np.sum(q * u, axis=1)[:, None] - _j(u))
+    blocks = (2.0 * q)[:, :, None] * q[:, None, :]
+    blocks -= _j(np.eye(q.shape[1]))
+    blocks *= eta[:, None, None]
+    return blocks
 
 
 def _psd_boundary_rates(Z, D):
@@ -220,8 +225,9 @@ class Scaling:
             q /= np.sqrt(2.0 * (1.0 + wb[:, 0]))[:, None]
             eta = (detx / dets) ** 0.25
             # W = eta (2 q q' - J) and W^-1 = (2 Jq (Jq)' - J) / eta
-            self._soc[d] = ((q, eta), (_j(q), 1.0 / eta))
-            self.lmbda[take] = _soc_apply(q, eta, ss)
+            W = _soc_blocks(q, eta)
+            self._soc[d] = (W, _soc_blocks(_j(q), 1.0 / eta))
+            self.lmbda[take] = np.einsum("kij,kj->ki", W, ss)
 
         # psd: W u = svec(R U R) with R the square root of the NT point Wm
         self._psd = {}
@@ -241,8 +247,7 @@ class Scaling:
         k = 1 if inverse else 0
         lay = self.layout
         for d, take in lay._soc_take.items():
-            q, eta = self._soc[d][k]
-            out[take] = _soc_apply(q, eta, u[take])
+            out[take] = np.einsum("kij,kj->ki", self._soc[d][k], u[take])
         for side, take in lay._psd_take.items():
             R = self._psd[side][k]
             V = R @ smat(u[take], side) @ R
@@ -302,17 +307,12 @@ class Scaling:
 
         The SOC entries, nonneg coordinates among them, are one
         `np.bincount` of the products A[r, l] W[l, k] over the pattern's
-        precomputed index maps, with W's dense blocks built from the same
-        (q, eta) that `apply_W` reads.  For each psd side group, the
-        congruences R M R of the pattern's stack of (row, block) matrices
-        are taken by one batched matmul.
+        precomputed index maps, with the dense blocks of W that `apply_W`
+        reads.  For each psd side group, the congruences R M R of the
+        pattern's stack of (row, block) matrices are taken by one batched
+        matmul.
         """
-        w = [np.zeros(0)]
-        for (q, eta), _ in self._soc.values():
-            # the dense symmetric blocks of W = eta (2 q q' - J)
-            blocks = 2.0 * q[:, :, None] * q[:, None, :] - _j(np.eye(q.shape[1]))
-            blocks *= eta[:, None, None]
-            w.append(blocks.ravel())
+        w = [np.zeros(0)] + [W.ravel() for W, _ in self._soc.values()]
         dst, a, src = pattern._products
         vals = [np.bincount(dst, a * np.concatenate(w)[src], minlength=pattern._n_soc)]
         for side, blk, M in pattern._psd:

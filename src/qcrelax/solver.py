@@ -18,9 +18,12 @@ quadratic constraints of S-SOCP in the (P) form) are kept out of the
 sparse LU and enter through a small dense Schur complement: each
 iteration assembles the sparse part K_s and the dense rows' columns E
 directly, and the whole KKT matrix is never built.  The fill-reducing
-ordering of the sparse factors is chosen once, at the first
-factorization, and every later factorization of the solve uses it (see
-_Ordering).
+ordering of the sparse factors follows from the KKT structure, with no
+trial factorization: the symmetric MMD order of K + K', computed by the
+first factorization and cached for every later one, except for PSD blocks
+with no free column (F-SDP and S-SDP in the (P) form), where COLAMD orders
+every factorization because MMD's ordering step or fill costs more there
+than COLAMD's whole factorization (see _Ordering).
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ INFEASIBILITY_RATIO = 1e-10
 
 #: first diagonal ridge added to the equilibrated KKT matrix when its factorization fails
 RIDGE = 1e-12
-
-#: a symmetric MMD ordering is cached only if it at most halves COLAMD's factor nnz
-MMD_GAIN = 0.5
 
 #: a constraint row is dense if its KKT column has more than this many times the median row's entries
 DENSE_ROW = 10
@@ -118,39 +118,39 @@ def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
 
 
 class _Ordering:
-    """Column ordering of the KKT factors, chosen at the first factorization.
+    """Column ordering of the KKT factors, fixed for a solve.
 
-    SuperLU's default COLAMD orders the columns for the pattern of K'K and
-    leaves the row pivots free, so it does not use the symmetry of K.  A
-    symmetric minimum-degree ordering of K + K', factored with diagonal
-    pivots preferred, can keep the factors much sparser: over 80 times on
-    F-SOCP at n_L = 8, and by half on the sparse part of S-SOCP (P) at
-    n_L = 20, which has no dense row left.  Which one wins depends on the
-    matrix, so the first factorization tries both.  Fill is measured as the factor's stored L and U entries (`lu.nnz`),
-    which SuperLU reports without copying the factors.
+    Every factorization of a solve is ordered by symmetric minimum degree
+    on K + K' with diagonal pivots preferred, or by SuperLU's COLAMD when
+    `symmetric` is false, which `_hsde` sets for PSD blocks with no free
+    column (F-SDP and S-SDP in the (P) form), where MMD costs more than it
+    saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
+    takes about 87 ms on F-SDP against 9 ms for a whole COLAMD
+    factorization, and on S-SDP its factors hold 1.38M entries against
+    COLAMD's 1.17M.  Elsewhere the symmetric order wins, since COLAMD
+    orders for the pattern of K'K and leaves the row pivots free: at W = I,
+    MMD's factors hold 36k entries against 968k on F-SOCP (P) at n_L = 6,
+    49k against 416k on S-SOCP (D) at n_L = 16, and 22k against 43k on the
+    sparse part of S-SOCP (P) at n_L = 16.
 
-    K has the same pattern at every iteration of a solve (see _KktPattern),
-    so the first factorization decides, and every later factorization of
-    the solve uses the chosen ordering.  If COLAMD's fill is below
-    2 nnz(K), no ordering can halve it (the factors contain the pattern of
-    K) and COLAMD is kept without a trial.  Otherwise the matrix is also
-    factored with MMD on K + K' and diagonal pivots preferred; that
-    ordering is kept if it at most halves COLAMD's fill.  Its permutation
-    is then cached, because computing it costs more than a numeric
-    factorization, and every later matrix is factored symmetrically
-    permuted in that order, through a precomputed gather of its data array.
-    A ridge is added after the permutation: P (K + rI) P' = P K P' + rI.
+    K has the same pattern at every iteration of a solve (see _KktPattern).
+    The first factorization computes the MMD order, and its factor is
+    used; the permutation is then cached, because computing it costs more
+    than a numeric factorization, and every later matrix is factored
+    symmetrically permuted in that order, through a precomputed gather of
+    its data array.  A ridge is added after the permutation:
+    P (K + rI) P' = P K P' + rI.
 
     The diagonal-pivot threshold is 1e-3, small as SuperLU's symmetric mode
     intends: at 0.01, off-diagonal pivots on the zero (2,2) block let the
-    cached-order factors of S-SOCP (P) at n_L = 24 grow to 10 times their
-    fill at the decision (1.9 times at 1e-3), and below 1e-3 F-SOCP (P)
-    solves fail.
+    cached-order factors of S-SOCP (P) at n_L = 24 grow to 10 times the
+    fill of the first factorization (1.9 times at 1e-3), and below 1e-3
+    F-SOCP (P) solves fail.
     """
 
-    def __init__(self):
+    def __init__(self, symmetric=True):
+        self.symmetric = symmetric
         self.calls = 0
-        self.decided = False
         self.order = None  # cached permutation o: later factors are of K[o][:, o]
         self._gather = None  # (data positions, indices, indptr) of K[o][:, o]
 
@@ -164,25 +164,11 @@ class _Ordering:
         if o is not None:
             lu = spla.splu(_ridged(self._permuted(mat), ridge), permc_spec="NATURAL", **_SYMMETRIC)
             return partial(_permuted_solve, lu, o)
-        ridged = _ridged(mat, ridge)
-        lu = spla.splu(ridged)
-        if not self.decided:
-            self.decided = True
-            mmd = self._try_mmd(ridged, lu.nnz)
-            if mmd is not None:
-                self._cache(mat, np.argsort(mmd.perm_c))
-                return mmd.solve
+        if not self.symmetric:
+            return spla.splu(_ridged(mat, ridge)).solve
+        lu = spla.splu(_ridged(mat, ridge), permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+        self._cache(mat, np.argsort(lu.perm_c))
         return lu.solve
-
-    def _try_mmd(self, mat, fill):
-        """Factor mat in MMD order if that at most halves COLAMD's fill."""
-        if fill < mat.nnz / MMD_GAIN:
-            return None
-        try:
-            lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
-        except RuntimeError:
-            return None
-        return lu if lu.nnz <= MMD_GAIN * fill else None
 
     def _cache(self, mat, order):
         """Factor later matrices as mat[order][:, order]."""
@@ -465,7 +451,8 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     nc = 1.0 + np.linalg.norm(c)
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
-    ordering = _Ordering()
+    # MMD does not pay on PSD blocks without free columns: see _Ordering
+    ordering = _Ordering(symmetric=free.size > 0 or not layout.psd_groups)
     pattern = _KktPattern(A, layout)
 
     def make(status, iters):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -207,6 +208,27 @@ def test_compare_warns_on_a_missing_file_and_loads_each_file_once(
     rows = out.read_text().strip().splitlines()[1:]
     assert [r.split(",")[:2] for r in rows] == [[str(inst), "fsocp"], [str(inst), "ssocp"]]
     assert loads == [missing, str(inst)]
+
+
+def test_compare_with_no_loadable_instance_fails(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "table.csv"
+    assert main(["compare", missing, "--relax", "ssocp", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"warning: cannot load {missing}")
+    assert out.read_text().strip().splitlines() == [CSV_HEADER + ",agreement,fsocp_ssocp_time_ratio"]
+
+
+def test_compare_fails_on_a_row_that_is_not_optimal(inst, tmp_path, monkeypatch):
+    from qcrelax import cli
+
+    solve = cli.solve
+    monkeypatch.setattr(
+        cli, "solve", lambda sf, cfg: dataclasses.replace(solve(sf, cfg), status="IterationLimit")
+    )
+    out = tmp_path / "table.csv"
+    assert main(["compare", str(inst), "--relax", "ssocp", "--out", str(out)]) == 1
+    (row,) = out.read_text().strip().splitlines()[1:]
+    assert row.split(",")[:4] == [str(inst), "ssocp", "P", "IterationLimit"]
 
 
 def test_usage_error_exit_code():

@@ -211,8 +211,8 @@ class _SpyOrdering(_Ordering):
 
     made = []
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         _SpyOrdering.made.append(self)
 
 
@@ -240,10 +240,10 @@ def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
     (state,) = spy
     assert sol.status == "Optimal"
     assert state.order is not None
-    # rejecting the MMD trial keeps COLAMD for the whole solve
-    monkeypatch.setattr(_Ordering, "_try_mmd", lambda self, mat, fill: None)
+    # COLAMD on every factorization reaches the same solution
+    monkeypatch.setattr(solver_mod, "_Ordering", lambda symmetric: _SpyOrdering(symmetric=False))
     ref = solve(sf)
-    assert spy[1].decided and spy[1].order is None
+    assert spy[1].order is None
     assert ref.status == "Optimal"
     assert sol.iterations == ref.iterations
     assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
@@ -273,11 +273,11 @@ def test_decides_once_at_the_first_factorization(splu_calls, builder, nl, seed):
     sol = solve(_lattice_sf(builder, nl, seed))
     assert sol.status == "Optimal"
     specs = [spec for spec, *_ in splu_calls]
-    # one COLAMD factor, the MMD trial that wins, then only the cached order
-    assert specs == ["COLAMD", "MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
+    # the first factor computes the MMD order and is used; later ones take the cached order
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
     # small diagonal-pivot thresholds keep later factors near the decision's fill
-    decision = splu_calls[1][3]
-    assert max(fill for *_, fill in splu_calls[2:]) <= 3 * decision
+    decision = splu_calls[0][3]
+    assert max(fill for *_, fill in splu_calls[1:]) <= 3 * decision
 
 
 @pytest.mark.parametrize(
@@ -293,12 +293,39 @@ def test_kkt_pattern_is_fixed_for_a_solve(splu_calls, builder, form):
     assert len({(dim, nnz) for _, dim, nnz, _ in splu_calls}) == 1
 
 
-def test_small_ssocp_stays_on_colamd(spy):
-    sol = solve(_lattice_sf(build_ssocp, 4))
+#: (builder, n_L, form, whether the solve takes the MMD order); PSD blocks with
+#: no free column, F-SDP and S-SDP in the (P) form, keep COLAMD
+STRUCTURES = [
+    pytest.param(build_ssocp, 4, "P", True, id="ssocp-4-P"),
+    pytest.param(build_ssocp, 4, "D", True, id="ssocp-4-D"),
+    pytest.param(build_fsdp, 4, "D", True, id="fsdp-4-D"),
+    pytest.param(build_fsdp, 4, "P", False, id="fsdp-4-P"),
+    pytest.param(build_ssdp, 5, "P", False, id="ssdp-5-P"),
+]
+
+
+@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
+def test_ordering_follows_the_kkt_structure(spy, splu_calls, builder, nl, form, mmd):
+    sol = solve(_lattice_sf(builder, nl, form=form))
     (state,) = spy
     assert sol.status == "Optimal"
-    assert state.decided
-    assert state.order is None
+    specs = [spec for spec, *_ in splu_calls]
+    if mmd:
+        assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
+        assert state.order is not None
+    else:
+        assert specs == ["COLAMD"] * sol.iterations
+        assert state.order is None
+
+
+@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
+def test_no_factor_is_discarded(spy, splu_calls, builder, nl, form, mmd):
+    sol = solve(_lattice_sf(builder, nl, form=form))
+    (state,) = spy
+    assert sol.status == "Optimal"
+    # no ridge retry: one factorization per iteration, each one SuperLU call
+    assert state.calls == sol.iterations
+    assert len(splu_calls) == sol.iterations
 
 
 def _random_kkt_matrix(n, seed=0):
@@ -323,7 +350,6 @@ def test_ridge_is_added_after_the_permutation():
     mat = _random_kkt_matrix(30)
     o = np.random.default_rng(1).permutation(30)
     state = _Ordering()
-    state.calls, state.decided = 10, True
     state._cache(mat, o)
     r = np.arange(30.0)
     x = state.factor(mat, 0.5)(r)
@@ -338,7 +364,7 @@ def test_ridge_retry_with_cached_order():
     sc = layout.scaling(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0]))
     pattern = _KktPattern(A, layout)
     state = _Ordering()
-    state.calls, state.decided = 10, True
+    state.calls = 10
     state._cache(pattern.assemble(sc)[0], np.array([5, 0, 4, 1, 3, 2]))
     kkt = _KktSolver(pattern, sc, state)
     assert kkt.ok
