@@ -4,7 +4,8 @@ Given lifted data Q_0..Q_m over S^{n+1}, the relaxations are
 
 * F-SDP:  min Q_0 . X  s.t. Q_k . X <= 0, H_0 . X = 1, X PSD;
 * S-SDP:  the clique-decomposed form with one PSD block per maximal
-  clique of the chordal extension, overlap equalities and pinning;
+  clique of the chordal extension, overlap equalities and pinning
+  (F-SDP is built as the S-SDP with the one clique {1..N});
 * F-SOCP: X restricted to the cone of matrices whose 2x2 principal
   minors are PSD, one SecondOrder(3) constraint per pair;
 * S-SOCP: 2x2 minors only for pairs in the aggregate pattern, plus
@@ -43,29 +44,7 @@ def _svec_pos(side, i, j):
     return int(svec_index(side).pos[i - 1, j - 1])
 
 
-# -- full SDP -----------------------------------------------------------------
-
-
-def build_fsdp(data: HomogenizedData) -> ConicProgram:
-    N = data.dim
-    prog = ConicProgram(
-        "min", {"kind": "fsdp", "dim": N, "m": data.m}
-    )
-    prog.add_var_block(("X",), "psd", N)
-
-    def row(Q: SparseSymMatrix):
-        out = {}
-        for (i, j), v in Q.entries.items():
-            k = prog.index(("X",), _svec_pos(N, i, j))
-            # svec carries sqrt(2) on off-diagonals, Q . X doubles them
-            out[k] = v if i == j else np.sqrt(2.0) * v
-        return out
-
-    prog.set_objective(row(data.Q[0]))
-    for Qk in data.Q[1:]:
-        prog.add_ineq(row(Qk), 0.0)
-    prog.add_eq(row(data.H0), 1.0)
-    return prog
+# -- SDP relaxations ---------------------------------------------------------
 
 
 def decompose_data(Qk: SparseSymMatrix, cs: CliqueSet):
@@ -119,6 +98,14 @@ def build_ssdp(
             prog.add_eq({entry_col(uidx, 1, 1): 1.0}, 1.0)
     for (i, j, a, b) in sorted(u.entries):
         prog.add_eq({entry_col(a, i, j): 1.0, entry_col(b, i, j): -1.0}, 0.0)
+    return prog
+
+
+def build_fsdp(data: HomogenizedData) -> ConicProgram:
+    """The clique SDP with the one clique {1..N}: a single PSD block X."""
+    whole = CliqueSet((frozenset(range(1, data.dim + 1)),))
+    prog = build_ssdp(data, None, whole, OverlapSet(frozenset()))
+    prog.metadata["kind"] = "fsdp"
     return prog
 
 
@@ -268,15 +255,13 @@ def build_dual_ssocp(data: HomogenizedData, pattern: AggregatePattern) -> ConicP
 def extract_entries(prog: ConicProgram, values: np.ndarray) -> dict:
     """Matrix entries {(i, j): value} implied by program-space values.
 
-    For the full SDP this is every upper-triangular position; for the
-    clique SDP and the SOCPs it covers the stored pattern only.
+    For the full SDP (one clique) this is every upper-triangular position;
+    for the clique SDP and the SOCPs it covers the stored pattern only.
     """
     kind = prog.metadata["kind"]
     N = prog.metadata["dim"]
     out = {}
-    if kind == "fsdp":
-        out.update(_psd_entries(prog, ("X",), range(1, N + 1), values))
-    elif kind == "ssdp":
+    if kind in ("fsdp", "ssdp"):
         for uidx, verts in enumerate(prog.metadata["cliques"], start=1):
             out.update(_psd_entries(prog, ("X", uidx), verts, values))
     elif kind in ("fsocp", "ssocp"):

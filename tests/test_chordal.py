@@ -3,14 +3,16 @@ import itertools
 import pytest
 
 from qcrelax.chordal import (
+    ChordalExtension,
     Graph,
+    NotChordalError,
     chordal_extension,
     chordal_parts,
     is_chordal,
     maximal_cliques,
     overlap_set,
 )
-from qcrelax.generators import lattice_edges
+from qcrelax.generators import ZeroDiagSpec, gen_zero_diag, lattice_edges
 
 
 def test_graph_validation():
@@ -46,11 +48,31 @@ def test_extension_makes_chordal():
         assert ext.base.edges <= ext.extended.edges
 
 
-def test_cliques_are_maximal_and_cover():
-    g = Graph(9, frozenset(lattice_edges(3)))
+def _zero_diag_pattern(n, m, density, seed):
+    """Off-diagonal support of the P blocks of a zero-diagonal instance.
+
+    Without the homogenizing vertex the pattern falls apart into several
+    components, so its clique tree has several roots.
+    """
+    inst = gen_zero_diag(ZeroDiagSpec(n, m, density, seed))
+    edges = {e for pk, _, _ in inst.data() for e in pk.entries if e[0] != e[1]}
+    return Graph(n, frozenset(edges))
+
+
+PATTERNS = [
+    *(pytest.param(Graph(nl * nl, frozenset(lattice_edges(nl))), id=f"lattice-{nl}")
+      for nl in range(2, 9)),
+    *(pytest.param(_zero_diag_pattern(*spec), id="zerodiag-{}-{}-{}-{}".format(*spec))
+      for spec in ((12, 15, 0.3, 0), (16, 31, 0.3, 1), (20, 41, 0.2, 0), (20, 41, 0.2, 1))),
+]
+
+
+@pytest.mark.parametrize("g", PATTERNS)
+def test_cliques_are_maximal_and_cover(g):
     ext = chordal_extension(g)
     cs = maximal_cliques(ext)
     adj = ext.extended.adjacency()
+    assert len(set(cs.cliques)) == len(cs.cliques)
     covered = set()
     for c in cs.cliques:
         for i, j in itertools.combinations(sorted(c), 2):
@@ -58,18 +80,33 @@ def test_cliques_are_maximal_and_cover():
             covered.add((i, j))
         assert not any(c < d for d in cs.cliques)
     assert covered >= ext.extended.edges
-    assert set().union(*cs.cliques) == set(range(1, 10))
+    assert set().union(*cs.cliques) == set(range(1, g.vertex_count + 1))
+    # every maximal clique of a chordal graph is some v with its later neighbours
+    pos = {v: k for k, v in enumerate(ext.ordering)}
+    candidates = {frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]}) for v in adj}
+    assert set(cs.cliques) == {c for c in candidates if not any(c < d for d in candidates)}
 
 
-def test_running_intersection_property():
-    g = Graph(16, frozenset(lattice_edges(4)))
-    cs = maximal_cliques(chordal_extension(g))
-    cliques = cs.cliques
+@pytest.mark.parametrize("g", PATTERNS)
+def test_running_intersection_property(g):
+    cliques = maximal_cliques(chordal_extension(g)).cliques
+    assert len(set(cliques)) == len(cliques)
     for r in range(1, len(cliques)):
         before = set().union(*cliques[:r])
         sep = cliques[r] & before
         if sep:
             assert any(sep <= c for c in cliques[:r])
+
+
+def test_cliques_need_a_perfect_elimination_ordering():
+    c4 = Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)}))
+    with pytest.raises(NotChordalError):
+        maximal_cliques(ChordalExtension(c4, frozenset(), (1, 2, 3, 4)))
+    # a chordal path whose middle vertex goes first: its neighbours 1, 3 are not adjacent
+    path = Graph(3, frozenset({(1, 2), (2, 3)}))
+    with pytest.raises(NotChordalError):
+        maximal_cliques(ChordalExtension(path, frozenset(), (2, 1, 3)))
+    assert len(maximal_cliques(ChordalExtension(path, frozenset(), (1, 2, 3)))) == 2
 
 
 def test_overlap_chains():
