@@ -19,11 +19,13 @@ what the extractors need to map solver output back to matrix entries.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .chordal import ChordalExtension, CliqueSet, OverlapSet
 from .model import AggregatePattern, HomogenizedData, aggregate_pattern
-from .program import ConicProgram, svec_index
+from .program import SQRT2, ConicProgram, svec_index
 from .sparsemat import SparseSymMatrix
 
 
@@ -36,15 +38,54 @@ class BuildError(ValueError):
 
 
 def _all_pairs(dim):
-    return [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    return list(itertools.combinations(range(1, dim + 1), 2))
 
 
-def _svec_pos(side, i, j):
-    """svec position of the 1-based entry (i, j)."""
-    return int(svec_index(side).pos[i - 1, j - 1])
+def _int_rows(tuples, count, width) -> np.ndarray:
+    """(count, width) array of `count` integer tuples of length `width`."""
+    flat = np.fromiter(itertools.chain.from_iterable(tuples), np.intp, count * width)
+    return flat.reshape(count, width)
+
+
+def _entries(mats):
+    """(k, i, j, v): the stored entries of mats[0], mats[1], ... as flat arrays."""
+    k = np.repeat(np.arange(len(mats)), [len(Q.entries) for Q in mats])
+    chain = itertools.chain.from_iterable
+    ij = _int_rows(chain(Q.entries for Q in mats), k.size, 2)
+    v = np.fromiter(chain(Q.entries.values() for Q in mats), float, k.size)
+    return k, ij[:, 0], ij[:, 1], v
+
+
+def _pair_index(N, pairs: np.ndarray, i, j) -> np.ndarray:
+    """Position of each (i[k], j[k]) in the sorted (n, 2) array `pairs`."""
+    keys = pairs[:, 0] * (N + 1) + pairs[:, 1]
+    want = i * (N + 1) + j
+    at = np.searchsorted(keys, want)
+    miss = np.flatnonzero(np.append(keys, -1)[at] != want)
+    if miss.size:
+        raise BuildError(f"data entry ({i[miss[0]]},{j[miss[0]]}) outside the pattern")
+    return at
 
 
 # -- SDP relaxations ---------------------------------------------------------
+
+
+def _clique_incidence(cs: CliqueSet, N: int) -> np.ndarray:
+    """(cliques, N + 1) booleans: clique u holds vertex v."""
+    inc = np.zeros((len(cs.cliques), N + 1), dtype=bool)
+    for u, c in enumerate(cs.cliques):
+        inc[u, list(c)] = True
+    return inc
+
+
+def _first_clique(inc: np.ndarray, i, j) -> np.ndarray:
+    """0-based index of the first clique holding both i[k] and j[k]."""
+    cover = inc[:, i] & inc[:, j]
+    u = cover.argmax(axis=0)
+    miss = np.flatnonzero(~cover[u, np.arange(u.size)])
+    if miss.size:
+        raise DecompositionError(f"entry ({i[miss[0]]},{j[miss[0]]}) not covered by any clique")
+    return u
 
 
 def decompose_data(Qk: SparseSymMatrix, cs: CliqueSet):
@@ -53,14 +94,11 @@ def decompose_data(Qk: SparseSymMatrix, cs: CliqueSet):
     Each entry goes wholly to the first clique (in the stored order)
     whose vertex set covers both indices.
     """
+    _, i, j, _ = _entries([Qk])
+    owner = _first_clique(_clique_incidence(cs, Qk.dim), i, j)
     parts = [dict() for _ in cs.cliques]
-    for (i, j), v in Qk.entries.items():
-        for u, c in enumerate(cs.cliques):
-            if i in c and j in c:
-                parts[u][(i, j)] = v
-                break
-        else:
-            raise DecompositionError(f"entry ({i},{j}) not covered by any clique")
+    for (pos, v), u in zip(Qk.entries.items(), owner.tolist()):
+        parts[u][pos] = v
     return [SparseSymMatrix(Qk.dim, p) for p in parts]
 
 
@@ -73,31 +111,39 @@ def build_ssdp(
         "min",
         {"kind": "ssdp", "dim": N, "m": data.m, "cliques": cliques},
     )
-    local = []  # per clique: vertex -> local 1-based position
     for uidx, verts in enumerate(cliques, start=1):
         prog.add_var_block(("X", uidx), "psd", len(verts))
-        local.append({v: k + 1 for k, v in enumerate(verts)})
+    inc = _clique_incidence(cs, N)
+    local = inc.cumsum(axis=1) - 1  # position of vertex v among the sorted clique u
+    side = inc.sum(axis=1)
+    start = np.array([blk.start for blk in prog.var_blocks], dtype=np.intp)
 
-    def entry_col(uidx, i, j):
-        loc = local[uidx - 1]
-        return prog.index(("X", uidx), _svec_pos(len(loc), loc[i], loc[j]))
+    def entry_col(u, i, j):
+        """Column of the svec coordinate (i, j) of the 0-based clique block u."""
+        a, b = local[u, i], local[u, j]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        return start[u] + a * side[u] - a * (a - 1) // 2 + (b - a)
 
-    def row(Q: SparseSymMatrix):
-        out = {}
-        for uidx, part in enumerate(decompose_data(Q, cs), start=1):
-            for (i, j), v in part.entries.items():
-                k = entry_col(uidx, i, j)
-                out[k] = out.get(k, 0.0) + (v if i == j else np.sqrt(2.0) * v)
-        return out
+    # each data entry goes to the first clique holding both its indices
+    k, i, j, v = _entries(data.Q)
+    col = entry_col(_first_clique(inc, i, j), i, j)
+    val = np.where(i == j, v, SQRT2 * v)
+    obj = k == 0
+    prog.set_objective(dict(zip(col[obj].tolist(), val[obj].tolist())))
+    prog.add_rows("ineq", k[~obj] - 1, col[~obj], val[~obj], np.zeros(data.m))
 
-    prog.set_objective(row(data.Q[0]))
-    for Qk in data.Q[1:]:
-        prog.add_ineq(row(Qk), 0.0)
-    for uidx, c in enumerate(cs.cliques, start=1):
-        if 1 in c:
-            prog.add_eq({entry_col(uidx, 1, 1): 1.0}, 1.0)
-    for (i, j, a, b) in sorted(u.entries):
-        prog.add_eq({entry_col(a, i, j): 1.0, entry_col(b, i, j): -1.0}, 0.0)
+    # X_11 = 1 in every clique holding vertex 1, then one row per overlap
+    pin = np.flatnonzero(inc[:, 1])
+    ov = _int_rows(sorted(u.entries), len(u.entries), 4)
+    oi, oj, oa, ob = ov.T
+    rows = pin.size + np.arange(ov.shape[0])
+    prog.add_rows(
+        "eq",
+        np.concatenate([np.arange(pin.size), rows, rows]),
+        np.concatenate([start[pin], entry_col(oa - 1, oi, oj), entry_col(ob - 1, oi, oj)]),
+        np.repeat([1.0, 1.0, -1.0], [pin.size, rows.size, rows.size]),
+        np.repeat([1.0, 0.0], [pin.size, rows.size]),
+    )
     return prog
 
 
@@ -127,32 +173,32 @@ def _build_socp(data: HomogenizedData, pairs, isolated, kind):
         prog.add_var_block(("d", i), "nonneg", 1)
     if pairs:
         prog.add_var_block(("off",), "free", len(pairs))
-    off_col = {pair: prog.index(("off",), k) for k, pair in enumerate(pairs)}
-    allowed = set(pairs)
+    # columns: X_ii at i - 1, X_ij of the k-th pair at N + k
+    P = _int_rows(pairs, len(pairs), 2)
+    n = len(pairs)
+    di, dj, off = P[:, 0] - 1, P[:, 1] - 1, N + np.arange(n)
 
-    for (i, j) in pairs:
-        di, dj = prog.index(("d", i)), prog.index(("d", j))
-        prog.add_soc_constraint(
-            [{di: 0.5, dj: 0.5}, {di: 0.5, dj: -0.5}, {off_col[(i, j)]: 1.0}],
-            [0.0, 0.0, 0.0],
-        )
+    # pair k: soc rows 3k..3k+2 = ((X_ii + X_jj)/2, (X_ii - X_jj)/2, X_ij)
+    prog.add_rows(
+        "soc",
+        (3 * np.arange(n)[:, None] + [0, 0, 1, 1, 2]).ravel(),
+        np.column_stack([di, dj, di, dj, off]).ravel(),
+        np.tile([0.5, 0.5, 0.5, -0.5, 1.0], n),
+        np.zeros(3 * n),
+        [3] * n,
+    )
 
-    def row(Q: SparseSymMatrix):
-        out = {}
-        for (i, j), v in Q.entries.items():
-            if i == j:
-                out[prog.index(("d", i))] = out.get(prog.index(("d", i)), 0.0) + v
-            else:
-                if (i, j) not in allowed:
-                    raise BuildError(f"data entry ({i},{j}) outside the pattern")
-                k = off_col[(i, j)]
-                out[k] = out.get(k, 0.0) + 2.0 * v
-        return out
+    def terms(mats):
+        """(k, col, val) of Q . X for each Q in mats: 2 Q_ij on each off-diagonal."""
+        k, i, j, v = _entries(mats)
+        col, two = i - 1, i != j
+        col[two] = N + _pair_index(N, P, i[two], j[two])
+        return k, col, np.where(two, 2.0 * v, v)
 
-    prog.set_objective(row(data.Q[0]))
-    for Qk in data.Q[1:]:
-        prog.add_ineq(row(Qk), 0.0)
-    prog.add_eq(row(data.H0), 1.0)
+    _, col, val = terms(data.Q[:1])
+    prog.set_objective(dict(zip(col.tolist(), val.tolist())))
+    prog.add_rows("ineq", *terms(data.Q[1:]), np.zeros(data.m))
+    prog.add_rows("eq", *terms([data.H0]), [1.0])
     return prog
 
 
@@ -197,46 +243,38 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
         prog.add_var_block(("W", i, j), "soc", 3)
     if isolated:
         prog.add_var_block(("w",), "nonneg", len(isolated))
-    w_col = {v: prog.index(("w",), k) for k, v in enumerate(isolated)}
+    # columns: y_k at k - 1, xi at m, (h, g, r) of the k-th pair from
+    # m + 1 + 3k, w of the t-th isolated vertex at m + 1 + 3 len(pairs) + t
+    P = _int_rows(pairs, len(pairs), 2)
+    n = len(pairs)
+    W = m + 1 + 3 * np.arange(n)
+    iso = np.array(isolated, dtype=np.intp)
+    w = m + 1 + 3 * n + np.arange(iso.size)
 
-    # left-hand coefficients per matrix position
-    lhs = {}
-    for k, Qk in enumerate(data.Q):
-        for pos, v in Qk.entries.items():
-            r = lhs.setdefault(pos, {})
-            if k == 0:
-                r[None] = r.get(None, 0.0) + v
-            else:
-                col = prog.index(("y",), k - 1)
-                r[col] = r.get(col, 0.0) + v
-    xi_col = prog.index(("xi",))
-    for pos, v in data.H0.entries.items():
-        r = lhs.setdefault(pos, {})
-        r[xi_col] = r.get(xi_col, 0.0) - v
+    # rows: position (i, i) at i - 1, the k-th pair at N + k
+    k, i, j, v = _entries((*data.Q, data.H0))
+    row = i - 1
+    row[i != j] = N + _pair_index(N, P, i[i != j], j[i != j])
+    # Q_0 is the constant: lhs coefficients + const = cone terms, moved to
+    # row . v = -const (-0.0 where Q_0 has no entry)
+    const = np.zeros(N + n)
+    const[row[k == 0]] = v[k == 0]
+    lhs = k > 0
+    col = np.where(k <= m, k - 1, m)[lhs]  # y_{k-1}, or xi for H_0
+    val = np.where(k <= m, v, -v)[lhs]
 
-    positions = [(i, i) for i in range(1, N + 1)] + pairs
-    pairset = set(pairs)
-    incident = [[] for _ in range(N + 1)]  # pairs at each vertex, in sorted order
-    for pair in pairs:
-        for v in pair:
-            incident[v].append(pair)
-    for pos in positions:
-        i, j = pos
-        row = dict(lhs.get(pos, {}))
-        const = row.pop(None, 0.0)
-        if i == j:
-            for (a, b) in incident[i]:  # p = h + g of W^{ab} at i = a, s = h - g at i = b
-                row[prog.index(("W", a, b), 0)] = -1.0
-                row[prog.index(("W", a, b), 1)] = -1.0 if a == i else 1.0
-            if i in w_col:
-                row[w_col[i]] = row.get(w_col[i], 0.0) - 1.0
-        else:
-            if pos not in pairset:
-                raise BuildError(f"data entry {pos} outside the pattern")
-            row[prog.index(("W", i, j), 2)] = row.get(prog.index(("W", i, j), 2), 0.0) - 1.0
-        # lhs coefficients + const = cone terms, moved to  row . v = -const
-        prog.add_eq(row, -const)
-    prog.set_objective({xi_col: 1.0})
+    # cone terms: -(h + g) of W^{ab} at (a, a), -(h - g) at (b, b), -r at (a, b);
+    # -w_i at (i, i) for an isolated vertex i
+    a, b = P[:, 0] - 1, P[:, 1] - 1
+    ones = np.ones(n)
+    prog.add_rows(
+        "eq",
+        np.concatenate([row[lhs], a, a, b, b, N + np.arange(n), iso - 1]),
+        np.concatenate([col, W, W + 1, W, W + 1, W + 2, w]),
+        np.concatenate([val, -ones, -ones, -ones, ones, -ones, -np.ones(iso.size)]),
+        -const,
+    )
+    prog.set_objective({m: 1.0})
     return prog
 
 

@@ -96,9 +96,7 @@ def _run_one(inst, name, relax, form, cfg):
         "form": form,
         "status": sol.status,
         "variables": prog.num_vars,
-        "constraints": len(prog.equalities)
-        + len(prog.inequalities)
-        + len(prog.soc_constraints),
+        "constraints": prog.num_rows("eq") + prog.num_rows("ineq") + len(prog.soc_dims),
         "cones": inv,
         "iterations": sol.iterations,
         "wall_time_s": round(wall, 4),

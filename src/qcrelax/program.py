@@ -5,6 +5,15 @@ in blocks.  Each block has a domain (free, nonneg, soc, psd); on top of
 that the program may carry affine second-order-cone constraints, linear
 equalities and linear inequalities.
 
+The rows of each of the three sections (equalities, soc rows,
+inequalities) are kept as chunks of COO arrays: row (counted from 0
+inside the chunk), column, value and one right-hand side per row, plus
+the list of soc dimensions.  `ConicProgram.add_rows` appends one chunk,
+so a builder emits thousands of rows with a few numpy operations;
+`add_eq`, `add_ineq` and `add_soc_constraint` turn one dict row (or one
+constraint of dict rows) into a chunk.  Repeated columns inside a row are
+summed and zero coefficients dropped when the rows are lowered.
+
 Lowering targets the two standard forms
 
     (P)  min c'x   s.t.  Ax = b, x in K
@@ -37,7 +46,6 @@ the map kept in `StandardForm.recover`.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -125,7 +133,14 @@ class VarBlock:
 
 
 class ConicProgram:
-    """Affine conic program; immutable by convention once built."""
+    """Affine conic program; immutable by convention once built.
+
+    The constraints are the equalities E v = h, the soc constraints
+    S_k v + s_k in SecondOrder(soc_dims[k]) and the inequalities G v <= g,
+    each section stored as the chunks `add_rows` appended.
+    """
+
+    SECTIONS = ("eq", "soc", "ineq")
 
     def __init__(self, sense: str = "min", metadata: dict | None = None):
         if sense not in ("min", "max"):
@@ -135,9 +150,9 @@ class ConicProgram:
         self.var_blocks: list[VarBlock] = []
         self._index: dict[tuple, VarBlock] = {}
         self.num_vars = 0
-        self.soc_constraints: list[tuple] = []  # (rows: list[dict], consts: list[float])
-        self.equalities: list[tuple] = []  # (row: dict, rhs: float)
-        self.inequalities: list[tuple] = []  # row . v <= rhs
+        # per section: chunks (row, col, val, rhs), rows counted inside the chunk
+        self.chunks: dict[str, list[tuple]] = {kind: [] for kind in self.SECTIONS}
+        self.soc_dims: list[int] = []  # the soc rows, in order, split into cones
         self.objective: dict = {}
         self.objective_const = 0.0
 
@@ -160,16 +175,59 @@ class ConicProgram:
             raise IndexError(f"offset {offset} out of range for block {key}")
         return blk.start + offset
 
+    def add_rows(self, kind, row, col, val, rhs, soc_dims=None):
+        """Append len(rhs) rows to section `kind` ("eq", "soc" or "ineq").
+
+        Entry k adds val[k] at column col[k] of row row[k], counted from 0
+        inside this chunk; repeated columns in a row add up.  For "soc" the
+        rows form cones of the dimensions `soc_dims`, in order.
+        """
+        # copies, so the caller may reuse its arrays
+        row = np.array(row, dtype=np.intp)
+        col = np.array(col, dtype=np.intp)
+        val = np.array(val, dtype=float)
+        rhs = np.array(rhs, dtype=float)
+        if kind not in self.SECTIONS:
+            raise ValueError(f"unknown row section {kind!r}")
+        if not (row.ndim == col.ndim == val.ndim == rhs.ndim == 1):
+            raise ValueError("row chunk arrays must be one-dimensional")
+        if not (row.size == col.size == val.size):
+            raise ValueError("row, col and val must have matching lengths")
+        if row.size and not (0 <= row.min() and row.max() < rhs.size):
+            raise ValueError(f"row index out of range for a chunk of {rhs.size} rows")
+        if col.size and not (0 <= col.min() and col.max() < self.num_vars):
+            raise ValueError(f"column index out of range for {self.num_vars} variables")
+        if kind == "soc":
+            dims = np.asarray(() if soc_dims is None else soc_dims, dtype=np.intp)
+            if dims.ndim != 1 or dims.sum() != rhs.size or (dims < 2).any():
+                raise ValueError("soc constraint needs matching rows/consts, dim >= 2")
+            self.soc_dims += dims.tolist()
+        elif soc_dims is not None:
+            raise ValueError(f"soc_dims given for section {kind!r}")
+        self.chunks[kind].append((row, col, val, rhs))
+
+    def _add_dict_rows(self, kind, rows, rhs, soc_dims=None):
+        lens = [len(r) for r in rows]
+        self.add_rows(
+            kind,
+            np.repeat(np.arange(len(rows)), lens),
+            [j for r in rows for j in r],
+            [v for r in rows for v in r.values()],
+            rhs,
+            soc_dims,
+        )
+
     def add_soc_constraint(self, rows, consts):
-        if len(rows) != len(consts) or len(rows) < 2:
-            raise ValueError("soc constraint needs matching rows/consts, dim >= 2")
-        self.soc_constraints.append(([dict(r) for r in rows], [float(v) for v in consts]))
+        self._add_dict_rows("soc", rows, consts, [len(rows)])
 
     def add_eq(self, row, rhs):
-        self.equalities.append((dict(row), float(rhs)))
+        self._add_dict_rows("eq", [row], [rhs])
 
     def add_ineq(self, row, rhs):
-        self.inequalities.append((dict(row), float(rhs)))
+        self._add_dict_rows("ineq", [row], [rhs])
+
+    def num_rows(self, kind) -> int:
+        return sum(chunk[3].size for chunk in self.chunks[kind])
 
     def set_objective(self, coeffs, const=0.0):
         self.objective = dict(coeffs)
@@ -188,7 +246,7 @@ class ConicProgram:
                 inv["nonneg"] += blk.dim
             else:
                 inv["free"] += blk.dim
-        inv["soc"] += len(self.soc_constraints)
+        inv["soc"] += len(self.soc_dims)
         return inv
 
 
@@ -207,14 +265,19 @@ class StandardForm:
     meta: dict = field(default_factory=dict)
 
 
-def _rows_to_csr(rows, ncols):
-    lens = [len(row) for row in rows]
-    ci = np.fromiter(itertools.chain.from_iterable(rows), int, sum(lens))
-    vals = (row.values() for row in rows)
-    data = np.fromiter(itertools.chain.from_iterable(vals), float, sum(lens))
-    ri = np.repeat(np.arange(len(rows)), lens)
-    keep = data != 0.0
-    return sp.csr_matrix((data[keep], (ri[keep], ci[keep])), shape=(len(rows), ncols))
+def _section_matrix(prog: ConicProgram, kind: str) -> tuple:
+    """(M, rhs) of one row section, its chunks stacked into one CSR matrix."""
+    empty = (np.zeros(0, np.intp),) * 2 + (np.zeros(0),) * 2
+    rows, cols, vals, rhs = zip(*(prog.chunks[kind] or [empty]))
+    starts = np.cumsum([0] + [r.size for r in rhs[:-1]])
+    row = np.concatenate([r + start for r, start in zip(rows, starts)])
+    rhs = np.concatenate(rhs)
+    M = sp.csr_matrix(
+        (np.concatenate(vals), (row, np.concatenate(cols))), shape=(rhs.size, prog.num_vars)
+    )
+    # the conversion sums repeated columns; zeros, given or summed, are dropped
+    M.eliminate_zeros()
+    return M, rhs
 
 
 def _row_matrices(prog: ConicProgram) -> tuple:
@@ -224,11 +287,9 @@ def _row_matrices(prog: ConicProgram) -> tuple:
     S v + s of all constraints in order, the inequalities G v <= g and the
     dense objective vector.
     """
-    soc = [pair for rows, consts in prog.soc_constraints for pair in zip(rows, consts)]
     out = []
-    for pairs in (prog.equalities, soc, prog.inequalities):
-        out.append(_rows_to_csr([row for row, _ in pairs], prog.num_vars))
-        out.append(np.array([rhs for _, rhs in pairs], dtype=float))
+    for kind in ("eq", "soc", "ineq"):
+        out += _section_matrix(prog, kind)
     obj = np.zeros(prog.num_vars)
     obj[list(prog.objective)] = list(prog.objective.values())
     return (*out, obj)
@@ -237,12 +298,26 @@ def _row_matrices(prog: ConicProgram) -> tuple:
 def _free_mask(prog: ConicProgram) -> np.ndarray:
     free = np.zeros(prog.num_vars, dtype=bool)
     for blk in prog.var_blocks:
-        free[blk.start : blk.start + blk.scalar_len] = blk.kind == "free"
+        if blk.kind == "free":
+            free[blk.start : blk.start + blk.scalar_len] = True
     return free
 
 
+# one shared instance per (kind, dim): F-SOCP at n_L = 16 has 32,896 equal
+# soc cones, and building each one took a large share of its lowering
+_cone_block = functools.lru_cache(maxsize=256)(ConeBlock)
+
+
 def _cone_blocks(prog: ConicProgram) -> list:
-    return [ConeBlock(blk.kind, blk.dim) for blk in prog.var_blocks if blk.kind != "free"]
+    return [_cone_block(blk.kind, blk.dim) for blk in prog.var_blocks if blk.kind != "free"]
+
+
+def _soc_and_slack_blocks(prog: ConicProgram) -> list:
+    """One soc block per soc constraint, then one nonneg block for the inequalities."""
+    K = [_cone_block("soc", d) for d in prog.soc_dims]
+    if prog.num_rows("ineq"):
+        K.append(ConeBlock("nonneg", prog.num_rows("ineq")))
+    return K
 
 
 def to_standard_form(prog: ConicProgram, form: str) -> StandardForm:
@@ -270,9 +345,7 @@ def _lower_primal(prog, E, h, S, s, G, g, obj) -> StandardForm:
     K = _cone_blocks(prog)
     if split.size:
         K += [ConeBlock("nonneg", split.size)] * 2
-    K += [ConeBlock("soc", len(rows)) for rows, _ in prog.soc_constraints]
-    if prog.inequalities:
-        K.append(ConeBlock("nonneg", len(prog.inequalities)))
+    K += _soc_and_slack_blocks(prog)
 
     # columns: the cone variables, the positive and the negative parts of
     # the split variables, the auxiliary soc coordinates, the slacks
@@ -310,11 +383,9 @@ def _lower_primal(prog, E, h, S, s, G, g, obj) -> StandardForm:
 
 def _lower_dual(prog, E, h, S, s, G, g, obj) -> StandardForm:
     K = _cone_blocks(prog)
-    K += [ConeBlock("soc", len(rows)) for rows, _ in prog.soc_constraints]
-    if prog.inequalities:
-        K.append(ConeBlock("nonneg", len(prog.inequalities)))
-    if prog.equalities:
-        K.append(ConeBlock("zero", len(prog.equalities)))
+    K += _soc_and_slack_blocks(prog)
+    if E.shape[0]:
+        K.append(ConeBlock("zero", E.shape[0]))
 
     # A' = [-I on the cone variables; -S; G; E]
     p = prog.num_vars
@@ -354,9 +425,9 @@ def standard_form_to_json(sf: StandardForm) -> str:
     coo = sf.A.tocoo()
     doc = {
         "form": sf.form,
-        "A": [[int(i), int(j), float(v)] for i, j, v in zip(coo.row, coo.col, coo.data)],
-        "b": [float(v) for v in sf.b],
-        "c": [float(v) for v in sf.c],
+        "A": list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())),
+        "b": np.asarray(sf.b, dtype=float).tolist(),
+        "c": np.asarray(sf.c, dtype=float).tolist(),
         "cones": [{"kind": blk.kind, "dim": blk.dim} for blk in sf.K],
     }
     return json.dumps(doc, indent=1)

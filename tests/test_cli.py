@@ -66,6 +66,27 @@ def test_solve_csv_header_golden(inst, capsys):
     assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
 
 
+# variables, constraints, nonneg, soc, psd, free of each relaxation of `inst`
+SIZE_GOLDEN = {
+    "fsdp": "55,6,0,0,1,0",
+    "ssdp": "45,24,0,0,7,0",
+    "fsocp": "55,51,10,45,0,45",
+    "ssocp": "22,18,10,12,0,12",
+    "dual-fsocp": "141,55,5,45,0,1",
+    "dual-ssocp": "43,22,6,12,0,1",
+}
+
+
+@pytest.mark.parametrize("relax", sorted(SIZE_GOLDEN))
+def test_solve_csv_size_fields_golden(inst, capsys, relax):
+    assert main(["solve", str(inst), "--relax", relax, "--csv"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    names = ("variables", "constraints", "nonneg", "soc", "psd", "free")
+    assert ",".join(fields[k] for k in names) == SIZE_GOLDEN[relax]
+    assert fields["relaxation"] == relax and fields["status"] == "Optimal"
+
+
 def test_fsocp_ssocp_agree_via_cli(inst, capsys):
     objs = {}
     for relax in ("fsocp", "ssocp"):

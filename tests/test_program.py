@@ -1,9 +1,12 @@
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrelax.build import (
     build_dual_fsocp,
@@ -21,9 +24,11 @@ from qcrelax.program import (
     ConicProgram,
     LoweringError,
     StandardForm,
+    _row_matrices,
     export_sdpa,
     program_objective,
     smat,
+    standard_form_to_json,
     svec,
     svec_index,
     svec_len,
@@ -257,13 +262,32 @@ def reference_rows_to_csr(rows, ncols):
     return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), ncols))
 
 
-def reference_substitutable_free_vars(prog):
+def program_rows(prog):
+    """The program's rows as one {column: value} dict each, read from its row matrices.
+
+    Returns (equalities, soc_constraints, inequalities): lists of (row, rhs),
+    of (rows, consts) per soc constraint and of (row, rhs).
+    """
+    E, h, S, s, G, g, _ = _row_matrices(prog)
+
+    def dicts(M):
+        bounds = zip(M.indptr[:-1].tolist(), M.indptr[1:].tolist())
+        return [dict(zip(M.indices[a:b].tolist(), M.data[a:b].tolist())) for a, b in bounds]
+
+    socs, start, soc_rows = [], 0, dicts(S)
+    for dim in prog.soc_dims:
+        socs.append((soc_rows[start : start + dim], s[start : start + dim].tolist()))
+        start += dim
+    return list(zip(dicts(E), h.tolist())), socs, list(zip(dicts(G), g.tolist()))
+
+
+def reference_substitutable_free_vars(prog, soc_constraints):
     free_idx = set()
     for blk in prog.var_blocks:
         if blk.kind == "free":
             free_idx.update(range(blk.start, blk.start + blk.scalar_len))
     subs = {}
-    for ci, (rows, consts) in enumerate(prog.soc_constraints):
+    for ci, (rows, consts) in enumerate(soc_constraints):
         for ri, row in enumerate(rows):
             if len(row) != 1:
                 continue
@@ -275,7 +299,8 @@ def reference_substitutable_free_vars(prog):
 
 def reference_lower_primal(prog):
     """(P) by expanding every program row into columns, one tagged variable at a time."""
-    subs = reference_substitutable_free_vars(prog)
+    equalities, soc_constraints, inequalities = program_rows(prog)
+    subs = reference_substitutable_free_vars(prog, soc_constraints)
     sub_by_row = {(ci, ri): (j, a, f) for j, (ci, ri, a, f) in subs.items()}
     K, col_of, ncols = [], {}, 0
     for blk in prog.var_blocks:
@@ -300,16 +325,16 @@ def reference_lower_primal(prog):
         for k, j in enumerate(split_vars):
             col_of[j] = ("split", pos0 + k, neg0 + k)
     aux_start = {}
-    for ci, (rows, _) in enumerate(prog.soc_constraints):
+    for ci, (rows, _) in enumerate(soc_constraints):
         aux_start[ci] = ncols
         K.append(ConeBlock("soc", len(rows)))
         ncols += len(rows)
     for j, (ci, ri, a, f) in subs.items():
         col_of[j] = ("aux", aux_start[ci] + ri, a, f)  # v_j = (u - f) / a
     slack0 = ncols
-    if prog.inequalities:
-        K.append(ConeBlock("nonneg", len(prog.inequalities)))
-        ncols += len(prog.inequalities)
+    if inequalities:
+        K.append(ConeBlock("nonneg", len(inequalities)))
+        ncols += len(inequalities)
 
     def emit(row_dict, target_row):
         shift = 0.0
@@ -327,12 +352,12 @@ def reference_lower_primal(prog):
         return shift
 
     rows, rhs = [], []
-    for row, r in prog.equalities:
+    for row, r in equalities:
         out = {}
         shift = emit(row, out)
         rows.append(out)
         rhs.append(r - shift)
-    for ci, (crows, consts) in enumerate(prog.soc_constraints):
+    for ci, (crows, consts) in enumerate(soc_constraints):
         for ri, (crow, cconst) in enumerate(zip(crows, consts)):
             if (ci, ri) in sub_by_row:
                 continue
@@ -340,7 +365,7 @@ def reference_lower_primal(prog):
             shift = emit({j: -v for j, v in crow.items()}, out)
             rows.append(out)
             rhs.append(cconst - shift)
-    for k, (row, u) in enumerate(prog.inequalities):
+    for k, (row, u) in enumerate(inequalities):
         out = {slack0 + k: 1.0}
         shift = emit(row, out)
         rows.append(out)
@@ -370,6 +395,7 @@ def reference_lower_primal(prog):
 
 def reference_lower_dual(prog):
     """(D) by listing the rows of A' as dicts over the program variables."""
+    equalities, soc_constraints, inequalities = program_rows(prog)
     p = prog.num_vars
     K, at_rows, cparts = [], [], []
     for blk in prog.var_blocks:
@@ -379,19 +405,19 @@ def reference_lower_dual(prog):
         for o in range(blk.scalar_len):
             at_rows.append({blk.start + o: -1.0})
             cparts.append(0.0)
-    for rows, consts in prog.soc_constraints:
+    for rows, consts in soc_constraints:
         K.append(ConeBlock("soc", len(rows)))
         for row, cst in zip(rows, consts):
             at_rows.append({j: -v for j, v in row.items()})
             cparts.append(cst)
-    if prog.inequalities:
-        K.append(ConeBlock("nonneg", len(prog.inequalities)))
-        for row, u in prog.inequalities:
+    if inequalities:
+        K.append(ConeBlock("nonneg", len(inequalities)))
+        for row, u in inequalities:
             at_rows.append(dict(row))
             cparts.append(u)
-    if prog.equalities:
-        K.append(ConeBlock("zero", len(prog.equalities)))
-        for row, h in prog.equalities:
+    if equalities:
+        K.append(ConeBlock("zero", len(equalities)))
+        for row, h in equalities:
             at_rows.append(dict(row))
             cparts.append(h)
     A = sp.csr_matrix(reference_rows_to_csr(at_rows, p).T)
@@ -504,3 +530,158 @@ def test_hand_written_lowering_matches_the_oracle(make, sense, form):
         np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
     assert got.obj_sign == want.obj_sign
     assert got.obj_const == pytest.approx(want.obj_const, rel=1e-15, abs=0)
+
+
+# -- bulk row chunks against one dict per row ---------------------------------
+
+
+@st.composite
+def row_programs(draw):
+    """Var blocks over n <= 8 scalars and row groups, each given as dict rows or one chunk.
+
+    Coefficients are multiples of 0.5, so repeated columns sum exactly in any order.
+    """
+    kinds = st.sampled_from([("free", 1), ("free", 2), ("nonneg", 2), ("soc", 3), ("psd", 2)])
+    blocks = draw(st.lists(kinds, min_size=1, max_size=4))
+    while sum(svec_len(d) if k == "psd" else d for k, d in blocks) > 8:
+        blocks.pop()
+    n = sum(svec_len(d) if k == "psd" else d for k, d in blocks)
+    coef = st.integers(-4, 4).map(lambda v: v / 2)
+    # repeated columns, explicit zeros and pairs that cancel all come up often
+    entry = st.tuples(st.integers(0, n - 1), coef)
+    row = st.lists(entry, max_size=5)
+    groups = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(ConicProgram.SECTIONS))
+        dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)) if kind == "soc" else None
+        nrows = sum(dims) if dims else draw(st.integers(1, 3))
+        rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+        rhs = draw(st.lists(coef, min_size=nrows, max_size=nrows))
+        groups.append((kind, dims, rows, rhs, draw(st.booleans())))
+    objective = draw(st.dictionaries(st.integers(0, n - 1), coef, max_size=n))
+    return blocks, groups, objective, draw(st.sampled_from(["min", "max"]))
+
+
+def summed(entries):
+    out = {}
+    for j, v in entries:
+        out[j] = out.get(j, 0.0) + v
+    return out
+
+
+def add_dict_rows(prog, kind, dims, rows, rhs):
+    if kind == "soc":
+        start = 0
+        for dim in dims:
+            prog.add_soc_constraint(
+                [summed(r) for r in rows[start : start + dim]], rhs[start : start + dim]
+            )
+            start += dim
+    else:
+        for r, h in zip(rows, rhs):
+            (prog.add_eq if kind == "eq" else prog.add_ineq)(summed(r), h)
+
+
+def make_row_program(spec, bulk):
+    blocks, groups, objective, sense = spec
+    prog = ConicProgram(sense)
+    for k, (kind, dim) in enumerate(blocks):
+        prog.add_var_block((kind, k), kind, dim)
+    for kind, dims, rows, rhs, as_chunk in groups:
+        if bulk and as_chunk:
+            entries = [(r, j, v) for r, row in enumerate(rows) for j, v in row]
+            r, j, v = (list(col) for col in zip(*entries)) if entries else ([], [], [])
+            prog.add_rows(kind, r, j, v, rhs, dims)
+        else:
+            add_dict_rows(prog, kind, dims, rows, rhs)
+    prog.set_objective(objective, const=0.5)
+    return prog
+
+
+def dense_rows(spec, kind):
+    """The rows of one section as a dense matrix, summed entry by entry."""
+    blocks, groups, *_ = spec
+    n = sum(svec_len(d) if k == "psd" else d for k, d in blocks)
+    out = [np.zeros((len(rows), n)) for k, _, rows, _, _ in groups if k == kind]
+    for mat, rows in zip(out, (rows for k, _, rows, _, _ in groups if k == kind)):
+        for r, row in enumerate(rows):
+            for j, v in row:
+                mat[r, j] += v
+    return np.vstack(out) if out else np.zeros((0, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_programs())
+def test_bulk_chunks_lower_like_one_dict_per_row(spec):
+    mixed, dicts = make_row_program(spec, bulk=True), make_row_program(spec, bulk=False)
+    assert mixed.soc_dims == dicts.soc_dims
+    got, want = _row_matrices(mixed), _row_matrices(dicts)
+    for kind, (M, W) in zip(ConicProgram.SECTIONS, zip(got[0:6:2], want[0:6:2])):
+        assert csr_bytes(M) == csr_bytes(W)
+        # repeated columns summed, zeros (given or summed) dropped, columns sorted
+        assert np.array_equal(M.toarray(), dense_rows(spec, kind))
+        assert M.has_sorted_indices and np.all(M.data != 0.0)
+    for a, b in zip(got[1:6:2], want[1:6:2]):
+        assert a.tobytes() == b.tobytes()
+    for form in ("P", "D"):
+        a, b = to_standard_form(mixed, form), to_standard_form(dicts, form)
+        assert csr_bytes(a.A) == csr_bytes(b.A) and a.K == b.K
+        assert a.b.tobytes() == b.b.tobytes() and a.c.tobytes() == b.c.tobytes()
+        assert csr_bytes(a.recover[0]) == csr_bytes(b.recover[0])
+        assert a.recover[1].tobytes() == b.recover[1].tobytes()
+        assert (a.obj_sign, a.obj_const) == (b.obj_sign, b.obj_const)
+
+
+def csr_bytes(M):
+    M = sp.csr_matrix(M)
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+def test_add_rows_rejects_bad_chunks():
+    prog = ConicProgram("min")
+    prog.add_var_block(("x",), "nonneg", 3)
+    good = dict(row=[0, 0, 1], col=[0, 2, 1], val=[1.0, 2.0, 3.0], rhs=[0.0, 1.0])
+    prog.add_rows("eq", **good)
+    bad = [
+        ("eq", dict(good, col=[0, 3, 1]), "column"),  # column past the last variable
+        ("eq", dict(good, col=[0, -1, 1]), "column"),
+        ("eq", dict(good, row=[0, 2, 1]), "row index"),  # row past the chunk's rhs
+        ("ineq", dict(good, val=[1.0, 2.0]), "lengths"),
+        ("ineq", dict(good, col=[0, 1]), "lengths"),
+        ("soc", dict(good, soc_dims=[1, 1]), "dim >= 2"),
+        ("soc", dict(good, soc_dims=[3]), "dim >= 2"),  # dims must cover the rows
+        ("soc", dict(good), "dim >= 2"),  # soc needs its dims
+        ("eq", dict(good, soc_dims=[2]), "soc_dims"),
+        ("cone", dict(good), "section"),
+    ]
+    for kind, kwargs, match in bad:
+        with pytest.raises(ValueError, match=match):
+            prog.add_rows(kind, **kwargs)
+    with pytest.raises(ValueError, match="dim >= 2"):
+        prog.add_soc_constraint([{0: 1.0}], [0.0])
+    with pytest.raises(ValueError):
+        prog.add_soc_constraint([{0: 1.0}, {1: 1.0}], [0.0])
+    # a rejected chunk leaves the program as it was
+    assert prog.num_rows("eq") == 2 and prog.num_rows("soc") == 0 and prog.soc_dims == []
+    assert prog.num_rows("ineq") == 0
+
+
+def reference_standard_form_to_json(sf):
+    """The entry-by-entry JSON export, kept as the oracle of the column one."""
+    coo = sf.A.tocoo()
+    doc = {
+        "form": sf.form,
+        "A": [[int(i), int(j), float(v)] for i, j, v in zip(coo.row, coo.col, coo.data)],
+        "b": [float(v) for v in sf.b],
+        "c": [float(v) for v in sf.c],
+        "cones": [{"kind": blk.kind, "dim": blk.dim} for blk in sf.K],
+    }
+    return json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("form", ["P", "D"])
+def test_json_export_matches_the_entrywise_oracle(form):
+    progs = [*lattice_programs(3), mixed_program("max"), cones_only_program("min")]
+    for prog in progs:
+        sf = to_standard_form(prog, form)
+        assert standard_form_to_json(sf) == reference_standard_form_to_json(sf)
