@@ -26,7 +26,6 @@ import numpy as np
 from .chordal import ChordalExtension, CliqueSet, OverlapSet
 from .model import AggregatePattern, HomogenizedData, aggregate_pattern
 from .program import SQRT2, ConicProgram, svec_index
-from .sparsemat import SparseSymMatrix
 
 
 class DecompositionError(ValueError):
@@ -86,20 +85,6 @@ def _first_clique(inc: np.ndarray, i, j) -> np.ndarray:
     if miss.size:
         raise DecompositionError(f"entry ({i[miss[0]]},{j[miss[0]]}) not covered by any clique")
     return u
-
-
-def decompose_data(Qk: SparseSymMatrix, cs: CliqueSet):
-    """Split Qk into per-clique matrices summing exactly to Qk.
-
-    Each entry goes wholly to the first clique (in the stored order)
-    whose vertex set covers both indices.
-    """
-    _, i, j, _ = _entries([Qk])
-    owner = _first_clique(_clique_incidence(cs, Qk.dim), i, j)
-    parts = [dict() for _ in cs.cliques]
-    for (pos, v), u in zip(Qk.entries.items(), owner.tolist()):
-        parts[u][pos] = v
-    return [SparseSymMatrix(Qk.dim, p) for p in parts]
 
 
 def build_ssdp(

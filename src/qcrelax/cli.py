@@ -154,10 +154,7 @@ def _emit_completion(prog, sf, sol, path, compact):
     inst_dim = prog.metadata["dim"]
     entries = build.extract_entries(prog, variable_values(sf, sol))
     pattern = frozenset(k for k in entries if k[0] != k[1])
-    known = dict(entries)
-    for i in range(1, inst_dim + 1):
-        known.setdefault((i, i), 0.0)
-    partial = PartialMatrix(inst_dim, known, pattern)
+    partial = PartialMatrix(inst_dim, dict(entries), pattern)
     if compact:
         # the nonzeros of the upper triangle of the zero-fill completion, row-major
         upper = [[i, j, v] for (i, j), v in sorted(partial.known.items()) if v != 0.0]

@@ -126,33 +126,24 @@ def feasible_range(p: PartialMatrix, i: int, j: int) -> Range:
     return Range(-r, r)
 
 
-def in_T_plus(X: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff every 2x2 principal submatrix is PSD (within tol)."""
+def _in_minor_cone(X: np.ndarray, i, j, tol) -> bool:
+    """Nonnegative diagonal, and PSD 2x2 principal submatrices on the 0-based pairs (i[k], j[k])."""
     scale = max(1.0, float(np.abs(X).max(initial=0.0)))
     d = np.diag(X)
     if np.any(d < -tol * scale):
         return False
-    return bool(np.all(_minors(X) >= -tol * scale * scale))
+    return bool(np.all(d[i] * d[j] - X[i, j] * X[i, j] >= -tol * scale * scale))
+
+
+def in_T_plus(X: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff every 2x2 principal submatrix is PSD (within tol)."""
+    return _in_minor_cone(X, *np.triu_indices(X.shape[0], k=1), tol)
 
 
 def in_T_bar(X: np.ndarray, edges, tol: float = 1e-10) -> bool:
     """PSD 2x2 submatrices on `edges`, nonnegative diagonal elsewhere."""
-    n = X.shape[0]
-    scale = max(1.0, float(np.abs(X).max(initial=0.0)))
-    touched = set()
-    for (i, j) in edges:
-        if i > j:
-            i, j = j, i
-        touched |= {i, j}
-        a, b, c = X[i - 1, i - 1], X[j - 1, j - 1], X[i - 1, j - 1]
-        if a < -tol * scale or b < -tol * scale:
-            return False
-        if a * b - c * c < -tol * scale * scale:
-            return False
-    for i in set(range(1, n + 1)) - touched:
-        if X[i - 1, i - 1] < -tol * scale:
-            return False
-    return True
+    e = np.array(list(edges), dtype=int).reshape(-1, 2) - 1
+    return _in_minor_cone(X, e.min(axis=1), e.max(axis=1), tol)
 
 
 def _clique_submatrix(p: PartialMatrix, verts):

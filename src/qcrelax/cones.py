@@ -207,7 +207,6 @@ class Scaling:
 
     def __init__(self, layout: ConeLayout, x: np.ndarray, s: np.ndarray):
         self.layout = layout
-        self.lmbda = np.zeros(layout.dim)
 
         self._soc = {}
         for d, take in layout._soc_take.items():
@@ -227,7 +226,6 @@ class Scaling:
             # W = eta (2 q q' - J) and W^-1 = (2 Jq (Jq)' - J) / eta
             W = _soc_blocks(q, eta)
             self._soc[d] = (W, _soc_blocks(_j(q), 1.0 / eta))
-            self.lmbda[take] = np.einsum("kij,kj->ki", W, ss)
 
         # psd: W u = svec(R U R) with R the square root of the NT point Wm
         self._psd = {}
@@ -239,8 +237,8 @@ class Scaling:
             Wm = Smh @ Mh @ Smh  # the NT point: Wm S Wm = X
             R, Rinv = _sqrt_pair((Wm + _t(Wm)) / 2.0)
             self._psd[side] = (R, Rinv)
-            Lam = R @ S @ R
-            self.lmbda[take] = svec((Lam + _t(Lam)) / 2.0)
+        # _map, not apply_W: bench/tracing.py times apply_W as a cones.apply span
+        self.lmbda = self._map(s, False)
 
     def _map(self, u, inverse):
         out = np.zeros_like(u)

@@ -19,11 +19,10 @@ sparse LU and enter through a small dense Schur complement: each
 iteration assembles the sparse part K_s and the dense rows' columns E
 directly, and the whole KKT matrix is never built.  The fill-reducing
 ordering of the sparse factors follows from the KKT structure, with no
-trial factorization: the symmetric MMD order of K + K', computed by the
-first factorization and cached for every later one, except for PSD blocks
-with no free column (F-SDP and S-SDP in the (P) form), where COLAMD orders
-every factorization because MMD's ordering step or fill costs more there
-than COLAMD's whole factorization (see _Ordering).
+trial factorization, and is decided by the pattern: symmetric minimum
+degree, computed by the first factorization, after which K_s is laid out
+in that order, or COLAMD on every factorization for PSD blocks with no
+free column (see _KktPattern).
 """
 
 from __future__ import annotations
@@ -52,7 +51,11 @@ DENSE_ROW = 10
 #: dense rows are split off only if the sparse part keeps at most this share of the KKT entries
 SPLIT_SHARE = 0.25
 
-#: SuperLU settings for a symmetric ordering: prefer diagonal pivots (see _Ordering)
+#: SuperLU settings for a symmetric ordering: prefer diagonal pivots.  The threshold
+#: is small, as SuperLU's symmetric mode intends: at 0.01, off-diagonal pivots on the
+#: zero (2,2) block let the later factors of S-SOCP (P) at n_L = 24 grow to 10
+#: times the fill of the first factorization (1.9 times at 1e-3), and below 1e-3
+#: F-SOCP (P) solves fail
 _SYMMETRIC = dict(diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
 
 
@@ -117,85 +120,8 @@ def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
     return A[keep], b[keep], keep
 
 
-class _Ordering:
-    """Column ordering of the KKT factors, fixed for a solve.
-
-    Every factorization of a solve is ordered by symmetric minimum degree
-    on K + K' with diagonal pivots preferred, or by SuperLU's COLAMD when
-    `symmetric` is false, which `_hsde` sets for PSD blocks with no free
-    column (F-SDP and S-SDP in the (P) form), where MMD costs more than it
-    saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
-    takes about 87 ms on F-SDP against 9 ms for a whole COLAMD
-    factorization, and on S-SDP its factors hold 1.38M entries against
-    COLAMD's 1.17M.  Elsewhere the symmetric order wins, since COLAMD
-    orders for the pattern of K'K and leaves the row pivots free: at W = I,
-    MMD's factors hold 36k entries against 968k on F-SOCP (P) at n_L = 6,
-    49k against 416k on S-SOCP (D) at n_L = 16, and 22k against 43k on the
-    sparse part of S-SOCP (P) at n_L = 16.
-
-    K has the same pattern at every iteration of a solve (see _KktPattern).
-    The first factorization computes the MMD order, and its factor is
-    used; the permutation is then cached, because computing it costs more
-    than a numeric factorization, and every later matrix is factored
-    symmetrically permuted in that order, through a precomputed gather of
-    its data array.  A ridge is added after the permutation:
-    P (K + rI) P' = P K P' + rI.
-
-    The diagonal-pivot threshold is 1e-3, small as SuperLU's symmetric mode
-    intends: at 0.01, off-diagonal pivots on the zero (2,2) block let the
-    cached-order factors of S-SOCP (P) at n_L = 24 grow to 10 times the
-    fill of the first factorization (1.9 times at 1e-3), and below 1e-3
-    F-SOCP (P) solves fail.
-    """
-
-    def __init__(self, symmetric=True):
-        self.symmetric = symmetric
-        self.calls = 0
-        self.order = None  # cached permutation o: later factors are of K[o][:, o]
-        self._gather = None  # (data positions, indices, indptr) of K[o][:, o]
-
-    def factor(self, mat, ridge=0.0):
-        """Factor mat + ridge I; return a function that solves with it.
-
-        Every mat of one _Ordering has the same pattern.
-        """
-        self.calls += 1
-        o = self.order
-        if o is not None:
-            lu = spla.splu(_ridged(self._permuted(mat), ridge), permc_spec="NATURAL", **_SYMMETRIC)
-            return partial(_permuted_solve, lu, o)
-        if not self.symmetric:
-            return spla.splu(_ridged(mat, ridge)).solve
-        lu = spla.splu(_ridged(mat, ridge), permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
-        self._cache(mat, np.argsort(lu.perm_c))
-        return lu.solve
-
-    def _cache(self, mat, order):
-        """Factor later matrices as mat[order][:, order]."""
-        self.order = order
-        ids = sp.csc_matrix((np.arange(1, mat.nnz + 1), mat.indices, mat.indptr), shape=mat.shape)
-        perm = ids[order][:, order]
-        perm.sort_indices()
-        self._gather = (perm.data - 1, perm.indices, perm.indptr)
-
-    def _permuted(self, mat):
-        """mat[o][:, o], gathered from mat.data."""
-        take, indices, indptr = self._gather
-        return sp.csc_matrix((mat.data[take], indices, indptr), shape=mat.shape)
-
-
-def _ridged(mat, ridge):
-    return mat + ridge * sp.eye(mat.shape[0], format="csc") if ridge else mat
-
-
-def _permuted_solve(lu, o, r):
-    x = np.empty_like(r)
-    x[o] = lu.solve(r[o])
-    return x
-
-
 class _KktPattern:
-    """The augmented KKT system's sparsity pattern, built once per solve.
+    """The augmented KKT system's sparsity pattern, built once per solve, and its factor ordering.
 
     The Newton subsystem  Hinv u - A' v = g (cone rows), -A_F' v = g_F,
     A u = h  is solved through the symmetric indefinite form
@@ -218,8 +144,8 @@ class _KktPattern:
     and splitting them made its solves 16-28% slower.  The (2,2) block is
     zero, so the block between two dense rows is too, and K is
     [[K_s, E], [E', 0]] up to a symmetric permutation; `sparse` and `dense`
-    are the KKT positions of the two parts.  Without dense rows, E has no
-    columns and K_s is K.
+    are the KKT positions of the two parts, `sparse` in K_s's order.
+    Without dense rows, E has no columns and K_s is K.
 
     K itself is never built.  K_s's CSC pattern and E's scatter map are
     built here, every entry taking its value through `_src` from
@@ -227,6 +153,23 @@ class _KktPattern:
     values from `Scaling.scale_columns`, then the symmetric equilibration
     D K D with D = diag(1/sqrt(max_j |K_ij|)), where K's column maxima are
     those of K_s's columns and E's rows, and of E's columns.
+
+    `factor` orders K_s's factors from the KKT structure, with no trial
+    factorization: by symmetric minimum degree on K_s + K_s' with diagonal
+    pivots preferred, or by SuperLU's COLAMD for PSD blocks with no free
+    column (F-SDP and S-SDP in the (P) form), where MMD costs more than it
+    saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
+    takes about 87 ms on F-SDP against 9 ms for a whole COLAMD
+    factorization, and on S-SDP its factors hold 1.38M entries against
+    COLAMD's 1.17M.  Elsewhere the symmetric order wins, since COLAMD
+    orders for the pattern of K'K and leaves the row pivots free: at W = I,
+    MMD's factors hold 36k entries against 968k on F-SOCP (P) at n_L = 6,
+    49k against 416k on S-SOCP (D) at n_L = 16, and 22k against 43k on the
+    sparse part of S-SOCP (P) at n_L = 16.  Computing the MMD order costs
+    more than a numeric factorization, so only the first factorization
+    computes it, and its factor is used; K_s is then laid out again in that
+    order, so every later `assemble` gives P K_s P' and SuperLU factors it
+    in its natural order.
     """
 
     def __init__(self, A, layout: ConeLayout):
@@ -235,6 +178,8 @@ class _KktPattern:
         self.A, self.free_idx = A, free
         self.p, self.q, self.F = p, q, len(free)
         self.n = n = p + q + len(free)
+        # the SuperLU ordering of the next factorization; MMD becomes NATURAL once decided
+        self.permc_spec = "MMD_AT_PLUS_A" if free.size or not layout.psd_groups else "COLAMD"
         self.columns = ColumnPattern(layout, A)
         br, bc = self.columns.rows, self.columns.cols
         af = sp.coo_matrix(A[:, free])
@@ -252,16 +197,9 @@ class _KktPattern:
         self.sparse = np.flatnonzero(~is_dense)
         # each KKT position's row and column in K_s, or its column in E
         at = np.where(is_dense, np.cumsum(is_dense), np.cumsum(~is_dense)) - 1
-        # K_s: the entries in no dense row or column, in CSC order
+        # K_s: the entries in no dense row or column
         ks = ~is_dense[rows] & ~is_dense[cols]
-        r, c = at[rows[ks]], at[cols[ks]]
-        order = np.lexsort((r, c))
-        self.indices = r[order].astype(np.intc)
-        counts = np.bincount(c, minlength=self.sparse.size)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
-        self._src = src[ks][order]
-        self._col = c[order]
-        self._nonempty = np.flatnonzero(counts)
+        self._set_pattern(at[rows[ks]], at[cols[ks]], src[ks])
         # E: the entries in a dense column (E' repeats them), filled in as E'
         # so that the entries of each dense row are contiguous
         e = is_dense[cols] & ~is_dense[rows]
@@ -281,6 +219,25 @@ class _KktPattern:
         if counts.sum() - 2 * counts[dense].sum() > SPLIT_SHARE * counts.sum():
             return np.empty(0, dtype=int)
         return dense
+
+    def _set_pattern(self, r, c, src):
+        """K_s's CSC pattern from the rows, columns and value sources of its entries."""
+        order = np.lexsort((r, c))
+        self.indices = r[order].astype(np.intc)
+        counts = np.bincount(c, minlength=self.sparse.size)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+        self._src = src[order]
+        self._col = c[order]
+        self._nonempty = np.flatnonzero(counts)
+
+    def _move(self, at):
+        """Lay K_s out again as P K_s P', its row and column i at position at[i]; E's rows follow."""
+        sparse = np.empty_like(self.sparse)
+        sparse[at] = self.sparse
+        self.sparse = sparse
+        self._set_pattern(at[self.indices], at[self._col], self._src)
+        row = self._e_at % sparse.size
+        self._e_at += at[row] - row
 
     def assemble(self, scaling):
         """(K_s, E, eq): the equilibrated KKT system at `scaling`, and eq by KKT position."""
@@ -302,29 +259,54 @@ class _KktPattern:
         ks = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.sparse.size,) * 2)
         return ks, et.T, eq
 
+    def factor(self, ks):
+        """SuperLU factor of ks, a K_s laid out as `assemble` gives it now.
 
-def _factor(pattern, ks, e, ordering, ridge):
+        The first MMD factorization lays K_s out again in its order.
+        """
+        if self.permc_spec == "COLAMD":
+            return spla.splu(ks)
+        lu = spla.splu(ks, permc_spec=self.permc_spec, **_SYMMETRIC)
+        if self.permc_spec == "MMD_AT_PLUS_A":
+            # SuperLU factored K_s[o][:, o], o = argsort(perm_c); perm_c is int32, and
+            # `assemble` gathers through intp indices about 3 times faster
+            self._move(lu.perm_c.astype(np.intp))
+            self.permc_spec = "NATURAL"
+        return lu
+
+
+def _factor(pattern, ks, e, ridge):
     """Factor K + ridge I from (K_s, E); return a function that solves with it.
 
     K is [[K_s, E], [E', 0]] up to a symmetric permutation: K_s + ridge I
-    is factored in `ordering`, and the Schur complement
+    is factored by `pattern`, and the Schur complement
     S = ridge I - E' Z, Z = (K_s + ridge I)^-1 E, densely.  Without dense
-    rows, E has no columns and the sparse solve is returned as it is.
+    rows, E has no columns and K_s is K.
     """
-    solve_s = ordering.factor(ks, ridge)
+    sparse = pattern.sparse  # the layout of ks and e, which factoring may change
+    if ridge:
+        ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
+    lu = pattern.factor(ks)
     if not e.shape[1]:
-        return solve_s
-    z = solve_s(e)
+        return partial(_sparse_solve, lu, sparse)
+    z = lu.solve(e)
     schur = ridge * np.eye(e.shape[1]) - e.T @ z
-    lu, piv, info = la.lapack.dgetrf(schur)
+    schur_lu, piv, info = la.lapack.dgetrf(schur)
     if info != 0:
         raise RuntimeError("Schur complement of the dense rows is singular")
-    return partial(_block_solve, solve_s, e, z, (lu, piv), pattern.sparse, pattern.dense)
+    return partial(_block_solve, lu, e, z, (schur_lu, piv), sparse, pattern.dense)
 
 
-def _block_solve(solve_s, e, z, schur_lu, sparse, dense, r):
+def _sparse_solve(lu, sparse, r):
+    """x[sparse] = K_s^-1 r[sparse], where K_s is all of K."""
+    x = np.empty_like(r)
+    x[sparse] = lu.solve(r[sparse])
+    return x
+
+
+def _block_solve(lu, e, z, schur_lu, sparse, dense, r):
     """Block elimination: w = K_s^-1 r_s, S y = r_d - E' w, x_s = w - Z y, x_d = y."""
-    w = solve_s(r[sparse])
+    w = lu.solve(r[sparse])
     y = la.lu_solve(schur_lu, r[dense] - e.T @ w, check_finite=False)
     x = np.empty_like(r)
     x[sparse] = w - z @ y
@@ -339,26 +321,27 @@ class _KktSolver:
     the normal equations B B' keeps the condition number from being
     squared, which is what limits accuracy near convergence.  The (2,2)
     block is zero, so the system is not quasi-definite: SuperLU factors it
-    with partial pivoting, in the column order that `ordering` (one
-    _Ordering per solve) picks.  `_KktPattern.assemble` gives (K_s, E, eq),
-    and only K_s goes to SuperLU.  With dense rows, Z = K_s^-1 E comes from
-    one multi-column solve, and `lu_solve` does block elimination with a
-    dense LU of S = -E' Z; without them, K_s is K and `lu_solve` is its
-    sparse solve.  The Schur step is like the normal equations on the dense
-    rows alone, and the iterative refinement of `solve2` still checks every
-    solve against the unsplit system, through A.  A ridge is only
-    introduced when a factorization fails outright, or when S is singular.
+    with partial pivoting, in the column order that the pattern decides.
+    `_KktPattern.assemble` gives (K_s, E, eq), and only K_s goes to
+    SuperLU.  With dense rows, Z = K_s^-1 E comes from one multi-column
+    solve, and `lu_solve` does block elimination with a dense LU of
+    S = -E' Z; without them, K_s is K and `lu_solve` is its sparse solve.
+    The Schur step is like the normal equations on the dense rows alone,
+    and the iterative refinement of `solve2` still checks every solve
+    against the unsplit system, through A.  A ridge is only introduced when
+    a factorization fails outright, or when S is singular.
     """
 
-    def __init__(self, pattern: _KktPattern, scaling, ordering):
+    def __init__(self, pattern: _KktPattern, scaling):
         self.pattern = pattern
         self.scaling = scaling
-        ks, e, self.eq = pattern.assemble(scaling)
         self.ok = False
         ridge = 0.0
         for _ in range(6):
+            # assembled on every try: a failed try may have changed the layout
+            ks, e, self.eq = pattern.assemble(scaling)
             try:
-                self.lu_solve = _factor(pattern, ks, e, ordering, ridge)
+                self.lu_solve = _factor(pattern, ks, e, ridge)
                 probe = self.lu_solve(np.ones(pattern.n))
                 if np.all(np.isfinite(probe)):
                     self.ok = True
@@ -451,8 +434,6 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     nc = 1.0 + np.linalg.norm(c)
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
-    # MMD does not pay on PSD blocks without free columns: see _Ordering
-    ordering = _Ordering(symmetric=free.size > 0 or not layout.psd_groups)
     pattern = _KktPattern(A, layout)
 
     def make(status, iters):
@@ -506,7 +487,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         mu = (layout.dot_trace(x, s) + tau * kappa) / (nu + 1)
         mu_trace.append(float(mu))
 
-        kkt = _KktSolver(pattern, sc, ordering)
+        kkt = _KktSolver(pattern, sc)
         if not kkt.ok:
             return make("NumericalFailure", it)
         u2, v2 = kkt.solve2(-c, b)

@@ -12,7 +12,6 @@ from qcrelax.build import (
     build_fsocp,
     build_ssdp,
     build_ssocp,
-    decompose_data,
     extract_dual_parts,
     extract_entries,
 )
@@ -91,11 +90,12 @@ def test_ssocp_cone_structure():
 def test_decompose_rejects_uncovered_entries():
     # pattern {(1,2)} but data touching (1,3)
     q = SparseSymMatrix(3, {(1, 3): 1.0})
+    data = HomogenizedData(3, (q,), SparseSymMatrix(3, {(1, 1): 1.0}))
     g = Graph(3, frozenset({(1, 2)}))
     ext = chordal_extension(g)
     cs = maximal_cliques(ext)
     with pytest.raises(DecompositionError):
-        decompose_data(q, cs)
+        build_ssdp(data, ext, cs, overlap_set(cs))
 
 
 def test_ssdp_has_one_block_per_clique():
@@ -172,13 +172,6 @@ def test_socp_off_pattern_data_rejected():
     pat = AggregatePattern(3, pat_edges, frozenset({3}))
     with pytest.raises(BuildError):
         build_ssocp(data, pat)
-
-
-def test_decompose_sends_each_entry_to_its_first_covering_clique():
-    data, pat, ext, cs, u = lattice_setup(4, m=3, seed=2)
-    for Q in data.Q:
-        parts = decompose_data(Q, cs)
-        assert [p.entries for p in parts] == [p.entries for p in reference_decompose(Q, cs)]
 
 
 # -- the dict-row builders, kept as the oracles of the bulk-row ones ----------

@@ -110,6 +110,44 @@ def test_in_T_bar():
         assert in_T_bar(P, edges)
 
 
+def _in_T_bar_loop(X, edges, tol=1e-10):
+    """The entry-by-entry check, kept as the oracle of the vectorized one."""
+    scale = max(1.0, float(np.abs(X).max(initial=0.0)))
+    if any(X[i, i] < -tol * scale for i in range(X.shape[0])):
+        return False
+    for (i, j) in edges:
+        i, j = min(i, j) - 1, max(i, j) - 1
+        if X[i, i] * X[j, j] - X[i, j] * X[i, j] < -tol * scale * scale:
+            return False
+    return True
+
+
+def test_in_T_plus_is_in_T_bar_over_all_pairs():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        d = rng.uniform(0.0, 2.0, n)
+        # X_ij = +-sqrt(d_i d_j) puts every minor on the boundary; a random factor moves it off
+        X = np.sqrt(np.outer(d, d)) * rng.choice([-1.0, 1.0], (n, n))
+        if trial % 3:
+            X *= rng.uniform(0.5, 1.5, (n, n))
+        if trial % 5 == 0:
+            X[rng.integers(n), rng.integers(n)] *= -1.0
+        if trial % 4 == 0:  # a diagonal entry at the tolerance below zero, or twice it
+            X[0, 0] = -1e-10 * max(1.0, np.abs(X).max()) * (1 + (trial % 8 == 0))
+        X = np.triu(X) + np.triu(X, 1).T
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        got = in_T_plus(X)
+        assert got == in_T_bar(X, pairs) == in_T_bar(X, [(j, i) for i, j in pairs])
+        assert got == _in_T_bar_loop(X, pairs)
+        for k in range(len(pairs) + 1):
+            sel = pairs[:k]
+            assert in_T_bar(X, sel) == _in_T_bar_loop(X, sel)
+        seen.add((got, bool(np.any(np.diag(X) < 0))))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}
+
+
 def test_zero_fill_of_T_bar_member_is_in_T_plus():
     rng = np.random.default_rng(2)
     for _ in range(50):

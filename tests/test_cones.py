@@ -289,6 +289,8 @@ def test_nt_scaling_on_every_soc_dimension():
     np.testing.assert_allclose(W @ Winv, eye, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(W @ s, sc.lmbda, rtol=1e-12)
     np.testing.assert_allclose(Winv @ x, sc.lmbda, rtol=1e-12)
+    # lambda = W s takes the same path as every product with W
+    assert np.array_equal(sc.lmbda, sc.apply_W(s))
     # W J W = sqrt(det x / det s) J on each SOC; for d = 1 this reads w^2 = x / s
     for d, take in layout._soc_take.items():
         J = np.diag([1.0] + [-1.0] * (d - 1))

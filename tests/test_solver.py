@@ -16,7 +16,7 @@ from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import ConeBlock, StandardForm, to_standard_form
 from qcrelax.solver import (
-    Solution, SolverConfig, _KktPattern, _KktSolver, _Ordering, _factor, residuals, solve,
+    Solution, SolverConfig, _KktPattern, _KktSolver, _factor, residuals, solve,
 )
 
 
@@ -206,21 +206,34 @@ def test_one_dimensional_cones_step_like_nonneg_coordinates():
 # -- KKT ordering ----------------------------------------------------------------
 
 
-class _SpyOrdering(_Ordering):
-    """Records every ordering state a solve creates."""
+class _SpyPattern(_KktPattern):
+    """Records every KKT pattern a solve builds, and counts its factorizations."""
 
     made = []
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _SpyOrdering.made.append(self)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+        _SpyPattern.made.append(self)
+
+    def factor(self, ks):
+        self.calls += 1
+        return super().factor(ks)
+
+
+class _ColamdPattern(_SpyPattern):
+    """A pattern whose structural rule always picks COLAMD."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.permc_spec = "COLAMD"
 
 
 @pytest.fixture
 def spy(monkeypatch):
-    _SpyOrdering.made = []
-    monkeypatch.setattr(solver_mod, "_Ordering", _SpyOrdering)
-    return _SpyOrdering.made
+    _SpyPattern.made = []
+    monkeypatch.setattr(solver_mod, "_KktPattern", _SpyPattern)
+    return _SpyPattern.made
 
 
 def _lattice_sf(builder, nl, seed=0, form="P"):
@@ -234,16 +247,18 @@ def _lattice_sf(builder, nl, seed=0, form="P"):
     return to_standard_form(prog, form)
 
 
-def test_fsocp_takes_cached_mmd_ordering(spy, monkeypatch):
+def test_fsocp_takes_cached_mmd_ordering(spy, splu_calls, monkeypatch):
     sf = _lattice_sf(build_fsocp, 4)
     sol = solve(sf)
-    (state,) = spy
+    (pattern,) = spy
     assert sol.status == "Optimal"
-    assert state.order is not None
+    assert pattern.permc_spec == "NATURAL"
     # COLAMD on every factorization reaches the same solution
-    monkeypatch.setattr(solver_mod, "_Ordering", lambda symmetric: _SpyOrdering(symmetric=False))
+    splu_calls.clear()
+    monkeypatch.setattr(solver_mod, "_KktPattern", _ColamdPattern)
     ref = solve(sf)
-    assert spy[1].order is None
+    assert spy[1].permc_spec == "COLAMD"
+    assert [spec for spec, *_ in splu_calls] == ["COLAMD"] * ref.iterations
     assert ref.status == "Optimal"
     assert sol.iterations == ref.iterations
     assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
@@ -273,7 +288,7 @@ def test_decides_once_at_the_first_factorization(splu_calls, builder, nl, seed):
     sol = solve(_lattice_sf(builder, nl, seed))
     assert sol.status == "Optimal"
     specs = [spec for spec, *_ in splu_calls]
-    # the first factor computes the MMD order and is used; later ones take the cached order
+    # the first factor computes the MMD order and is used; later ones are laid out in it
     assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
     # small diagonal-pivot thresholds keep later factors near the decision's fill
     decision = splu_calls[0][3]
@@ -307,69 +322,87 @@ STRUCTURES = [
 @pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
 def test_ordering_follows_the_kkt_structure(spy, splu_calls, builder, nl, form, mmd):
     sol = solve(_lattice_sf(builder, nl, form=form))
-    (state,) = spy
+    (pattern,) = spy
     assert sol.status == "Optimal"
     specs = [spec for spec, *_ in splu_calls]
     if mmd:
         assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
-        assert state.order is not None
+        assert pattern.permc_spec == "NATURAL"
     else:
         assert specs == ["COLAMD"] * sol.iterations
-        assert state.order is None
+        assert pattern.permc_spec == "COLAMD"
+        assert np.array_equal(pattern.sparse, np.arange(pattern.n))
 
 
 @pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
 def test_no_factor_is_discarded(spy, splu_calls, builder, nl, form, mmd):
     sol = solve(_lattice_sf(builder, nl, form=form))
-    (state,) = spy
+    (pattern,) = spy
     assert sol.status == "Optimal"
     # no ridge retry: one factorization per iteration, each one SuperLU call
-    assert state.calls == sol.iterations
+    assert pattern.calls == sol.iterations
     assert len(splu_calls) == sol.iterations
 
 
-def _random_kkt_matrix(n, seed=0):
-    rng = np.random.default_rng(seed)
-    M = sp.random(n, n, density=0.2, random_state=rng) + n * sp.eye(n)
-    return sp.csc_matrix(M + M.T)
+def _decided(sf, scaling):
+    """A natural-layout KKT pattern of sf, and one that has decided its order at `scaling`."""
+    natural, pattern = _kkt_pattern(sf), _kkt_pattern(sf)
+    pattern.factor(pattern.assemble(scaling)[0])
+    assert pattern.permc_spec == "NATURAL"
+    return natural, pattern
 
 
 def test_cached_order_gathers_the_permuted_matrix():
-    mat = _random_kkt_matrix(30)
-    o = np.random.default_rng(1).permutation(30)
-    state = _Ordering()
-    state._cache(mat, o)
-    other = mat.copy()
-    other.data = np.arange(1.0, other.nnz + 1)  # same pattern, new values
-    for m in (mat, other):
-        got = state._permuted(m)
-        assert np.array_equal(got.toarray(), m[o][:, o].toarray())
+    # S-SOCP (P) has dense rows, (D) has none
+    for form, n_dense in (("P", 20), ("D", 0)):
+        sf = _lattice_sf(build_ssocp, 8, form=form)
+        layout = ConeLayout(sf.K)
+        natural, pattern = _decided(sf, _ssocp_scaling(layout, False))
+        assert pattern.dense.size == n_dense
+        # the decided layout is a permutation o of the natural one, and not the identity
+        o = np.searchsorted(natural.sparse, pattern.sparse)
+        assert np.array_equal(natural.sparse[o], pattern.sparse)
+        assert not np.array_equal(o, np.arange(o.size))
+        sc = _ssocp_scaling(layout, True)
+        ks0, e0, eq0 = natural.assemble(sc)
+        ks, e, eq = pattern.assemble(sc)
+        want = ks0[o][:, o]
+        want.sort_indices()
+        assert np.array_equal(ks.indptr, want.indptr)
+        assert np.array_equal(ks.indices, want.indices)
+        assert np.array_equal(ks.data, want.data)
+        assert np.array_equal(e, e0[o])
+        assert np.array_equal(eq, eq0)
 
 
 def test_ridge_is_added_after_the_permutation():
-    mat = _random_kkt_matrix(30)
-    o = np.random.default_rng(1).permutation(30)
-    state = _Ordering()
-    state._cache(mat, o)
-    r = np.arange(30.0)
-    x = state.factor(mat, 0.5)(r)
-    assert state.order is o
-    np.testing.assert_allclose((mat + 0.5 * sp.eye(30)) @ x, r, atol=1e-10)
+    # the ridge goes onto K_s in the decided layout: P (K + rI) P' = P K P' + rI
+    sf = _lattice_sf(build_fsocp, 4)
+    layout = ConeLayout(sf.K)
+    natural, pattern = _decided(sf, _ssocp_scaling(layout, False))
+    assert pattern.dense.size == 0
+    sc = _ssocp_scaling(layout, True)
+    kkt, _, _ = natural.assemble(sc)
+    ks, e, _ = pattern.assemble(sc)
+    r = np.linspace(0.0, 29.0, pattern.n)
+    x = _factor(pattern, ks, e, 0.5)(r)
+    np.testing.assert_allclose((kkt + 0.5 * sp.eye(pattern.n)) @ x, r, atol=1e-10)
 
 
-def test_ridge_retry_with_cached_order():
+def test_ridge_retry_with_cached_order(splu_calls):
     # duplicate rows make the KKT matrix exactly singular, so only a ridge helps
     A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
     layout = ConeLayout([ConeBlock("nonneg", 3)])
     sc = layout.scaling(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0]))
-    pattern = _KktPattern(A, layout)
-    state = _Ordering()
-    state.calls = 10
-    state._cache(pattern.assemble(sc)[0], np.array([5, 0, 4, 1, 3, 2]))
-    kkt = _KktSolver(pattern, sc, state)
+    pattern = _SpyPattern(A, layout)
+    assert _KktSolver(pattern, sc).ok  # the decision, itself after a ridge retry
+    assert pattern.permc_spec == "NATURAL"
+    pattern.calls = 0
+    splu_calls.clear()
+    kkt = _KktSolver(pattern, sc)
     assert kkt.ok
-    assert state.calls > 11  # at least one ridge retry
-    assert state.order is not None
+    assert pattern.calls >= 2  # at least one ridge retry
+    assert {spec for spec, *_ in splu_calls} == {"NATURAL"}
     g, h = np.array([1.0, -1.0, 0.5]), A @ np.array([1.0, 2.0, 1.0])
     u, v = kkt.solve2(g, h)
     np.testing.assert_allclose(A @ u, h, atol=1e-6)
@@ -441,9 +474,12 @@ def test_block_elimination_matches_a_full_factorization(monkeypatch, interior, r
     # both assemblies equilibrate the same K
     assert np.array_equal(eq, eq0)
     r = np.random.default_rng(5).standard_normal(pattern.n)
-    got = _factor(pattern, ks, e, _Ordering(), ridge)(r)
     want = spla.splu(sp.csc_matrix(kkt + ridge * sp.eye(pattern.n))).solve(r)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    got = _factor(pattern, ks, e, ridge)(r)  # the decision
+    ks, e, _ = pattern.assemble(sc)
+    again = _factor(pattern, ks, e, ridge)(r)  # in the decided layout
+    for x in (got, again):
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_split_solve_matches_the_unsplit_solve(monkeypatch):
@@ -458,7 +494,7 @@ def test_split_solve_matches_the_unsplit_solve(monkeypatch):
     assert sol.primal_obj == pytest.approx(ref.primal_obj, abs=1e-9)
 
 
-def test_singular_schur_complement_takes_the_ridge_retry():
+def test_singular_schur_complement_takes_the_ridge_retry(splu_calls):
     # four dense rows over 40 nonneg columns, two of them equal, so the
     # sparse part is regular and the Schur complement singular
     rng = np.random.default_rng(2)
@@ -473,11 +509,15 @@ def test_singular_schur_complement_takes_the_ridge_retry():
     ks, e, _ = pattern.assemble(sc)
     assert e.shape == (pattern.n - 4, 4)
     with pytest.raises(RuntimeError):
-        _factor(pattern, ks, e, _Ordering(), 0.0)
-    state = _Ordering()
-    solver = _KktSolver(pattern, sc, state)
+        _factor(pattern, ks, e, 0.0)
+    # the retry in the deciding iteration: MMD succeeds on K_s, then S is singular
+    pattern = _KktPattern(A, layout)
+    splu_calls.clear()
+    solver = _KktSolver(pattern, sc)
     assert solver.ok
-    assert state.calls >= 2  # at least one ridge retry
+    specs = [spec for spec, *_ in splu_calls]
+    assert specs[0] == "MMD_AT_PLUS_A" and len(specs) >= 2  # at least one ridge retry
+    assert set(specs[1:]) == {"NATURAL"}
     g, h = rng.standard_normal(q), A @ rng.uniform(0.5, 2.0, q)
     u, v = solver.solve2(g, h)
     np.testing.assert_allclose(A @ u, h, atol=1e-6)
