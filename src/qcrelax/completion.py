@@ -141,9 +141,18 @@ def in_T_plus(X: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def in_T_bar(X: np.ndarray, edges, tol: float = 1e-10) -> bool:
-    """PSD 2x2 submatrices on `edges`, nonnegative diagonal elsewhere."""
-    e = np.array(list(edges), dtype=int).reshape(-1, 2) - 1
-    return _in_minor_cone(X, e.min(axis=1), e.max(axis=1), tol)
+    """PSD 2x2 submatrices on `edges`, nonnegative diagonal elsewhere.
+
+    Edges are 1-based pairs (i, j), in either orientation, with
+    1 <= i < j <= n, as `PartialMatrix` takes them.
+    """
+    e = np.array(list(edges), dtype=int).reshape(-1, 2)
+    i, j = e.min(axis=1), e.max(axis=1)
+    bad = (i < 1) | (i == j) | (j > X.shape[0])
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise CompletionError(f"edge ({i[k]},{j[k]}) out of range")
+    return _in_minor_cone(X, i - 1, j - 1, tol)
 
 
 def _clique_submatrix(p: PartialMatrix, verts):

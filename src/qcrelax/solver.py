@@ -8,12 +8,14 @@ only the (D) lowering produces) are treated as free coordinates whose
 dual slack is pinned at zero.
 
 Each Newton system is solved through a sparse LU of the scaled
-augmented KKT system (see _KktSolver), with iterative refinement, and
-with a small diagonal ridge only when a factorization fails outright
-(for example on rank-deficient rows such as redundant pinning
-constraints).  The KKT system's sparsity pattern and the index maps
-into it are built once per solve (see _KktPattern); each iteration only
-computes values.  Constraint rows that are dense against the others (the
+augmented KKT system  K = [[D, B'], [B, 0]]  with B = A W, where W is
+the NT scaling on cone columns and the identity on free ones, and D is
+1 on cone columns and 0 on free ones (see _KktSolver).  The solve has
+iterative refinement, and a small diagonal ridge only when a
+factorization fails outright (for example on rank-deficient rows such as
+redundant pinning constraints).  The KKT system's sparsity pattern and
+the index maps into it are built once per solve (see _KktPattern); each
+iteration only computes values.  Constraint rows that are dense against the others (the
 quadratic constraints of S-SOCP in the (P) form) are kept out of the
 sparse LU and enter through a small dense Schur complement: each
 iteration assembles the sparse part K_s and the dense rows' columns E
@@ -50,6 +52,9 @@ DENSE_ROW = 10
 
 #: dense rows are split off only if the sparse part keeps at most this share of the KKT entries
 SPLIT_SHARE = 0.25
+
+#: iterative refinement steps at most per Newton solve
+MAX_REFINE = 8
 
 #: SuperLU settings for a symmetric ordering: prefer diagonal pivots.  The threshold
 #: is small, as SuperLU's symmetric mode intends: at 0.01, off-diagonal pivots on the
@@ -92,12 +97,16 @@ class Solution:
 
 def residuals(sf: StandardForm, sol: Solution) -> tuple:
     """(primal, dual, gap) of a candidate point in standard-form semantics."""
-    pr = np.linalg.norm(sf.A @ sol.x - sf.b) / (1.0 + np.linalg.norm(sf.b))
-    dr = np.linalg.norm(sf.A.T @ sol.y + sol.s - sf.c) / (1.0 + np.linalg.norm(sf.c))
-    cx = float(sf.c @ sol.x)
-    by = float(sf.b @ sol.y)
+    return _residuals(sf.A, sf.b, sf.c, sol.x, sol.y, sol.s)
+
+
+def _residuals(A, b, c, x, y, s) -> tuple:
+    """Relative primal and dual residuals and duality gap of (x, y, s)."""
+    pr = np.linalg.norm(A @ x - b) / (1.0 + np.linalg.norm(b))
+    dr = np.linalg.norm(A.T @ y + s - c) / (1.0 + np.linalg.norm(c))
+    cx, by = float(c @ x), float(b @ y)
     gap = abs(cx - by) / (1.0 + abs(cx) + abs(by))
-    return (pr, dr, gap)
+    return (float(pr), float(dr), gap)
 
 
 def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
@@ -126,18 +135,21 @@ class _KktPattern:
     The Newton subsystem  Hinv u - A' v = g (cone rows), -A_F' v = g_F,
     A u = h  is solved through the symmetric indefinite form
 
-        [[ I,    B',  0  ]  [W^-1 u]   [W g]
-         [ B,    0,   A_F]  [  -v  ] = [ h ]
-         [ 0,  A_F',  0  ]] [ u_F  ]   [g_F]
+        [[ D,  B' ]  [W^-1 u]   [W g]
+         [ B,  0  ]] [  -v  ] = [ h ]
 
-    with B = A W restricted to cone columns.  B's structural pattern
-    (cones.ColumnPattern) depends only on A and the cone layout, so K's
-    pattern is fixed for the solve.
+    with B = A W, where W is the identity on the free columns F, so that
+    B's free columns are A_F's, and D is 1 on cone columns and 0 on free
+    ones: a free column is a column of B with no barrier term.  On free
+    coordinates W^-1 u and W g read u_F and g_F.  KKT positions [0, q) are
+    the columns of A and [q, q + p) its rows.  B's structural pattern on
+    the cone columns (cones.ColumnPattern) depends only on A and the cone
+    layout, so K's pattern is fixed for the solve.
 
     Dense constraint rows are found here too.  A constraint row is dense
     if its KKT column has more than DENSE_ROW times the median constraint
-    row's entries, so at least half of the rows stay sparse; cone and free
-    columns are never dense.  They are split off only if the sparse part
+    row's entries, so at least half of the rows stay sparse; columns of A
+    are never dense.  They are split off only if the sparse part
     K_s keeps at most SPLIT_SHARE of K's entries: in S-SOCP (P) the
     quadratic-constraint rows span the whole aggregate pattern and hold
     85% of the entries, while in F-SOCP (n_L 4 to 8) they hold 24-52%
@@ -149,16 +161,21 @@ class _KktPattern:
 
     K itself is never built.  K_s's CSC pattern and E's scatter map are
     built here, every entry taking its value through `_src` from
-    [1 (identity), A_F, B].  `assemble` fills them in at one scaling: B's
-    values from `Scaling.scale_columns`, then the symmetric equilibration
-    D K D with D = diag(1/sqrt(max_j |K_ij|)), where K's column maxima are
-    those of K_s's columns and E's rows, and of E's columns.
+    [1 (D on the cone columns), A_F, B on the cone columns].  `assemble`
+    fills them in at one scaling: B's values from `Scaling.scale_columns`,
+    then the symmetric equilibration Q K Q with
+    Q = diag(1/sqrt(max_j |K_ij|)), where K's column maxima are those of
+    K_s's columns and E's rows, and of E's columns.
 
-    `factor` orders K_s's factors from the KKT structure, with no trial
-    factorization: by symmetric minimum degree on K_s + K_s' with diagonal
-    pivots preferred, or by SuperLU's COLAMD for PSD blocks with no free
-    column (F-SDP and S-SDP in the (P) form), where MMD costs more than it
-    saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
+    `factor(ks, e, ridge)` factors K + ridge I and returns its solve: it
+    adds the ridge to K_s, factors K_s with SuperLU, and, with dense rows,
+    forms Z = K_s^-1 E by one multi-column solve and a dense LU of the
+    Schur complement S = ridge I - E' Z, so that each solve is a block
+    elimination.  It orders K_s's factors from the KKT structure, with no
+    trial factorization: by symmetric minimum degree on K_s + K_s' with
+    diagonal pivots preferred, or by SuperLU's COLAMD for PSD blocks with
+    no free column (F-SDP and S-SDP in the (P) form), where MMD costs more
+    than it saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
     takes about 87 ms on F-SDP against 9 ms for a whole COLAMD
     factorization, and on S-SDP its factors hold 1.38M entries against
     COLAMD's 1.17M.  Elsewhere the symmetric order wins, since COLAMD
@@ -176,22 +193,23 @@ class _KktPattern:
         p, q = A.shape
         free = layout.free_idx
         self.A, self.free_idx = A, free
-        self.p, self.q, self.F = p, q, len(free)
-        self.n = n = p + q + len(free)
+        self.p, self.q = p, q
+        self.n = n = p + q
         # the SuperLU ordering of the next factorization; MMD becomes NATURAL once decided
         self.permc_spec = "MMD_AT_PLUS_A" if free.size or not layout.psd_groups else "COLAMD"
         self.columns = ColumnPattern(layout, A)
         br, bc = self.columns.rows, self.columns.cols
         af = sp.coo_matrix(A[:, free])
         af.sum_duplicates()
-        # values: [1 (identity), A_F, B]; each block of B and A_F appears twice
-        diag = np.arange(q)
-        a_at = q + np.arange(af.nnz)
-        b_at = q + af.nnz + np.arange(br.size)
-        rows = np.concatenate([diag, q + br, bc, q + af.row, q + p + af.col])
-        cols = np.concatenate([diag, bc, q + br, q + p + af.col, q + af.row])
-        src = np.concatenate([diag, b_at, b_at, a_at, a_at])
-        self._const = np.concatenate([np.ones(q), af.data])
+        fc = free[af.col]
+        # values: [1 (D on the cone columns), A_F, B]; each block of B and A_F appears twice
+        diag = np.delete(np.arange(q), free)
+        a_at = diag.size + np.arange(af.nnz)
+        b_at = diag.size + af.nnz + np.arange(br.size)
+        rows = np.concatenate([diag, q + br, bc, q + af.row, fc])
+        cols = np.concatenate([diag, bc, q + br, fc, q + af.row])
+        src = np.concatenate([np.arange(diag.size), b_at, b_at, a_at, a_at])
+        self._const = np.concatenate([np.ones(diag.size), af.data])
         self.dense = self._dense_rows(np.bincount(cols, minlength=n))
         is_dense = np.isin(np.arange(n), self.dense)
         self.sparse = np.flatnonzero(~is_dense)
@@ -223,7 +241,10 @@ class _KktPattern:
     def _set_pattern(self, r, c, src):
         """K_s's CSC pattern from the rows, columns and value sources of its entries."""
         order = np.lexsort((r, c))
-        self.indices = r[order].astype(np.intc)
+        # gathers through intp indices are about 3 times faster than through
+        # the int32 `indices` that SuperLU reads
+        self._row = r[order]
+        self.indices = self._row.astype(np.intc)
         counts = np.bincount(c, minlength=self.sparse.size)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
         self._src = src[order]
@@ -235,7 +256,7 @@ class _KktPattern:
         sparse = np.empty_like(self.sparse)
         sparse[at] = self.sparse
         self.sparse = sparse
-        self._set_pattern(at[self.indices], at[self._col], self._src)
+        self._set_pattern(at[self._row], at[self._col], self._src)
         row = self._e_at % sparse.size
         self._e_at += at[row] - row
 
@@ -254,47 +275,38 @@ class _KktPattern:
         eq[self.dense] = abs_et.max(axis=1, initial=0.0)
         eq = 1.0 / np.sqrt(np.maximum(eq, 1e-12))
         eq_s = eq[self.sparse]
-        data *= eq_s[self.indices] * eq_s[self._col]
+        data *= eq_s[self._row] * eq_s[self._col]
         et *= eq[self.dense][:, None] * eq_s
         ks = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.sparse.size,) * 2)
         return ks, et.T, eq
 
-    def factor(self, ks):
-        """SuperLU factor of ks, a K_s laid out as `assemble` gives it now.
+    def factor(self, ks, e, ridge):
+        """Factor K + ridge I from (K_s, E), laid out as `assemble` gives them now.
 
-        The first MMD factorization lays K_s out again in its order.
+        Returns a function that solves with the factors.  The first MMD
+        factorization lays K_s out again in its order; the returned solve
+        keeps the layout that ks and e were assembled in.
         """
+        sparse = self.sparse
+        if ridge:
+            ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
         if self.permc_spec == "COLAMD":
-            return spla.splu(ks)
-        lu = spla.splu(ks, permc_spec=self.permc_spec, **_SYMMETRIC)
-        if self.permc_spec == "MMD_AT_PLUS_A":
-            # SuperLU factored K_s[o][:, o], o = argsort(perm_c); perm_c is int32, and
-            # `assemble` gathers through intp indices about 3 times faster
-            self._move(lu.perm_c.astype(np.intp))
-            self.permc_spec = "NATURAL"
-        return lu
-
-
-def _factor(pattern, ks, e, ridge):
-    """Factor K + ridge I from (K_s, E); return a function that solves with it.
-
-    K is [[K_s, E], [E', 0]] up to a symmetric permutation: K_s + ridge I
-    is factored by `pattern`, and the Schur complement
-    S = ridge I - E' Z, Z = (K_s + ridge I)^-1 E, densely.  Without dense
-    rows, E has no columns and K_s is K.
-    """
-    sparse = pattern.sparse  # the layout of ks and e, which factoring may change
-    if ridge:
-        ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
-    lu = pattern.factor(ks)
-    if not e.shape[1]:
-        return partial(_sparse_solve, lu, sparse)
-    z = lu.solve(e)
-    schur = ridge * np.eye(e.shape[1]) - e.T @ z
-    schur_lu, piv, info = la.lapack.dgetrf(schur)
-    if info != 0:
-        raise RuntimeError("Schur complement of the dense rows is singular")
-    return partial(_block_solve, lu, e, z, (schur_lu, piv), sparse, pattern.dense)
+            lu = spla.splu(ks)
+        else:
+            lu = spla.splu(ks, permc_spec=self.permc_spec, **_SYMMETRIC)
+            if self.permc_spec == "MMD_AT_PLUS_A":
+                # SuperLU factored K_s[o][:, o], o = argsort(perm_c); perm_c is
+                # int32, cast so that the relaid `_row` stays intp
+                self._move(lu.perm_c.astype(np.intp))
+                self.permc_spec = "NATURAL"
+        if not e.shape[1]:
+            return partial(_sparse_solve, lu, sparse)
+        z = lu.solve(e)
+        schur = ridge * np.eye(e.shape[1]) - e.T @ z
+        schur_lu, piv, info = la.lapack.dgetrf(schur)
+        if info != 0:
+            raise RuntimeError("Schur complement of the dense rows is singular")
+        return partial(_block_solve, lu, e, z, (schur_lu, piv), sparse, self.dense)
 
 
 def _sparse_solve(lu, sparse, r):
@@ -317,19 +329,20 @@ def _block_solve(lu, e, z, schur_lu, sparse, dense, r):
 class _KktSolver:
     """Factorization of the scaled augmented system for one NT scaling.
 
-    The system is the one of _KktPattern.  Working with B = A W instead of
-    the normal equations B B' keeps the condition number from being
-    squared, which is what limits accuracy near convergence.  The (2,2)
-    block is zero, so the system is not quasi-definite: SuperLU factors it
-    with partial pivoting, in the column order that the pattern decides.
-    `_KktPattern.assemble` gives (K_s, E, eq), and only K_s goes to
-    SuperLU.  With dense rows, Z = K_s^-1 E comes from one multi-column
-    solve, and `lu_solve` does block elimination with a dense LU of
-    S = -E' Z; without them, K_s is K and `lu_solve` is its sparse solve.
-    The Schur step is like the normal equations on the dense rows alone,
-    and the iterative refinement of `solve2` still checks every solve
-    against the unsplit system, through A.  A ridge is only introduced when
-    a factorization fails outright, or when S is singular.
+    The system is the one of _KktPattern, K = [[D, B'], [B, 0]] with
+    B = A W and D = 1 on cone columns, 0 on free ones.  Working with B
+    instead of the normal equations B B' keeps the condition number from
+    being squared, which is what limits accuracy near convergence.  The
+    (2,2) block is zero, so the system is not quasi-definite: SuperLU
+    factors it with partial pivoting, in the column order that the pattern
+    decides.  `_KktPattern.assemble` gives (K_s, E, eq), and
+    `_KktPattern.factor` returns `lu_solve`: block elimination with a dense
+    LU of S = -E' Z, Z = K_s^-1 E, with dense rows, and the sparse solve
+    of K_s = K without them.  The Schur step is like the normal equations
+    on the dense rows alone, and the iterative refinement of `solve2`
+    still checks every solve against the unsplit system, through A.  A
+    ridge is only introduced when a factorization fails outright, or when
+    S is singular.
     """
 
     def __init__(self, pattern: _KktPattern, scaling):
@@ -341,7 +354,7 @@ class _KktSolver:
             # assembled on every try: a failed try may have changed the layout
             ks, e, self.eq = pattern.assemble(scaling)
             try:
-                self.lu_solve = _factor(pattern, ks, e, ridge)
+                self.lu_solve = pattern.factor(ks, e, ridge)
                 probe = self.lu_solve(np.ones(pattern.n))
                 if np.all(np.isfinite(probe)):
                     self.ok = True
@@ -351,28 +364,26 @@ class _KktSolver:
             ridge = RIDGE if ridge == 0.0 else ridge * 1e4
 
     def _raw_solve(self, g, h):
-        sc, pt = self.scaling, self.pattern
-        free, p, q = pt.free_idx, pt.p, pt.q
-        rhs = np.concatenate([sc.apply_W(g), h, g[free]] if pt.F else [sc.apply_W(g), h])
+        sc, free, q = self.scaling, self.pattern.free_idx, self.pattern.q
+        rhs = np.concatenate([sc.apply_W(g), h])
+        rhs[free] = g[free]
         sol = self.eq * self.lu_solve(self.eq * rhs)
         u = sc.apply_W(sol[:q])
-        v = -sol[q : q + p]
-        if pt.F:
-            u[free] = sol[q + p :]
-        return u, v
+        u[free] = sol[free]
+        return u, -sol[q:]
 
-    def solve2(self, g, h, max_refine=8):
-        """Solve  Hinv u - A' v = g (cone rows), -A_F' v = g_F,  A u = h."""
-        pt, sc = self.pattern, self.scaling
-        A, free = pt.A, pt.free_idx
+    def solve2(self, g, h):
+        """Solve  Hinv u - A' v = g (cone rows), -A_F' v = g_F,  A u = h.
+
+        Hinv is zero on free coordinates, so the refinement's residual in g
+        is one formula for both kinds of rows.
+        """
+        A, sc = self.pattern.A, self.scaling
         u, v = self._raw_solve(g, h)
         target = 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
         prev = np.inf
-        for _ in range(max_refine):
-            atv = A.T @ v
-            r_g = g - (sc.apply_Hinv(u) - atv)
-            if pt.F:
-                r_g[free] = g[free] + atv[free]
+        for _ in range(MAX_REFINE):
+            r_g = g - (sc.apply_Hinv(u) - A.T @ v)
             r_h = h - A @ u
             err = np.linalg.norm(r_g) + np.linalg.norm(r_h)
             if not np.isfinite(err) or err <= target or err >= 0.5 * prev:
@@ -430,8 +441,6 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
 
-    nb = 1.0 + np.linalg.norm(b)
-    nc = 1.0 + np.linalg.norm(c)
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
     pattern = _KktPattern(A, layout)
@@ -456,12 +465,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         )
 
     for it in range(cfg.max_iterations):
-        xh, yh, sh = x / tau, y / tau, s / tau
-        pres = np.linalg.norm(A @ xh - b) / nb
-        dres = np.linalg.norm(A.T @ yh + sh - c) / nc
-        cx, by = float(c @ xh), float(b @ yh)
-        gap = abs(cx - by) / (1.0 + abs(cx) + abs(by))
-        res = (float(pres), float(dres), float(gap))
+        res = pres, dres, gap = _residuals(A, b, c, x / tau, y / tau, s / tau)
         if pres <= cfg.tol_primal and dres <= cfg.tol_dual and gap <= cfg.tol_gap:
             return make("Optimal", it)
         if tau < INFEASIBILITY_RATIO * max(1.0, kappa):
@@ -500,8 +504,8 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
             return make("NumericalFailure", it)
 
         def direction(eta, dtilde, dg):
+            # W^-1 dtilde is zero on free coordinates
             g = eta * rx + sc.apply_Winv(dtilde)
-            g[free] = eta * rx[free]
             u1, v1 = kkt.solve2(g, -eta * ry)
             num = -eta * rt - float(c @ u1) + float(b @ v1) - dg / tau
             dtau = num / den

@@ -108,6 +108,12 @@ def test_in_T_bar():
     P = g @ g.T
     for edges in (set(), {(1, 2)}, {(1, 2), (3, 4)}):
         assert in_T_bar(P, edges)
+    # edges outside 1 <= i < j <= n are rejected, as PartialMatrix rejects them
+    X = np.array([[1.0, 5.0, 0.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert not in_T_bar(X, [(2, 1)])
+    for edges in ([(0, 3)], [(2, 2)], [(1, 4)]):
+        with pytest.raises(CompletionError):
+            in_T_bar(X, edges)
 
 
 def _in_T_bar_loop(X, edges, tol=1e-10):

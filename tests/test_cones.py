@@ -178,20 +178,16 @@ def test_scale_columns_matches_dense_reference():
 
 
 def reference_kkt(A, B, free_idx):
-    """The sp.bmat assembly with row-max equilibration D K D, kept as the oracle."""
+    """The sp.bmat assembly of [[D, B'], [B, 0]] with row-max equilibration, kept as the oracle.
+
+    B's free columns are A's, and D is 1 on the cone columns and 0 on the free ones.
+    """
     p, q = A.shape
-    F = len(free_idx)
-    B = sp.csc_matrix(B)
-    Af = A[:, free_idx] if F else None
-    blocks = [
-        [sp.eye(q, format="csc"), B.T, None],
-        [B, None, Af],
-        [None, Af.T if F else None, None],
-    ]
-    kkt = sp.bmat(
-        [row[: 2 + (1 if F else 0)] for row in blocks[: 2 + (1 if F else 0)]],
-        format="csc",
-    )
+    B = sp.lil_matrix(B)
+    B[:, free_idx] = A[:, free_idx]
+    d = np.ones(q)
+    d[free_idx] = 0.0
+    kkt = sp.bmat([[sp.diags(d), B.T], [B, None]], format="csc")
     rmax = np.maximum(abs(kkt).max(axis=1).toarray().ravel(), 1e-12)
     eq = 1.0 / np.sqrt(rmax)
     D = sp.diags(eq)
@@ -220,7 +216,7 @@ def check_kkt_assembly(layout, sc, A, nd):
     want, want_eq = reference_kkt(sp.csr_matrix(A), B, layout.free_idx)
     pattern = _KktPattern(sp.csr_matrix(A), layout)
     ks, e, eq = pattern.assemble(sc)
-    n = layout.dim + A.shape[0] + layout.free_idx.size
+    n = layout.dim + A.shape[0]
     assert want.shape == (pattern.n, pattern.n) == (n, n)
     assert ks.shape == (n - nd, n - nd) and e.shape == (n - nd, nd)
     np.testing.assert_allclose(eq, want_eq, rtol=1e-12)

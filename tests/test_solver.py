@@ -9,14 +9,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qcrelax import solver as solver_mod
-from qcrelax.build import build_dual_ssocp, build_fsdp, build_fsocp, build_ssdp, build_ssocp
+from qcrelax.build import (
+    build_dual_fsocp, build_dual_ssocp, build_fsdp, build_fsocp, build_ssdp, build_ssocp,
+)
 from qcrelax.chordal import chordal_parts
 from qcrelax.cones import ConeLayout
 from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import ConeBlock, StandardForm, to_standard_form
 from qcrelax.solver import (
-    Solution, SolverConfig, _KktPattern, _KktSolver, _factor, residuals, solve,
+    Solution, SolverConfig, _KktPattern, _KktSolver, residuals, solve,
 )
 
 
@@ -48,6 +50,8 @@ def sdp_ref():
 
 REFERENCE = [(lp_ref, 1.0), (soc_ref, 5.0), (sdp_ref, 1.0)]
 
+BUILDERS = [build_fsocp, build_ssocp, build_dual_fsocp, build_dual_ssocp, build_fsdp, build_ssdp]
+
 
 @pytest.mark.parametrize("factory,opt", REFERENCE)
 def test_reference_suite(factory, opt):
@@ -73,6 +77,12 @@ def test_residuals_definition():
     expect = np.linalg.norm(sf.A @ (sol.x + step) - sf.b) / (1 + np.linalg.norm(sf.b))
     assert pr2 == pytest.approx(expect, rel=1e-9)
     assert pr2 == pytest.approx(1e-3 / 2, abs=1e-6)
+    # the solver reports the residuals of this definition, bit for bit
+    for builder, nl in itertools.product(BUILDERS, (3, 4)):
+        sf = _lattice_sf(builder, nl)
+        sol = solve(sf)
+        assert sol.status == "Optimal"
+        assert sol.residuals == residuals(sf, sol)
 
 
 def test_config_validation():
@@ -216,9 +226,9 @@ class _SpyPattern(_KktPattern):
         self.calls = 0
         _SpyPattern.made.append(self)
 
-    def factor(self, ks):
+    def factor(self, ks, e, ridge):
         self.calls += 1
-        return super().factor(ks)
+        return super().factor(ks, e, ridge)
 
 
 class _ColamdPattern(_SpyPattern):
@@ -238,7 +248,7 @@ def spy(monkeypatch):
 
 def _lattice_sf(builder, nl, seed=0, form="P"):
     data = homogenize(gen_lattice(LatticeSpec(nl, 20, seed)))
-    if builder in (build_fsocp, build_fsdp):
+    if builder in (build_fsocp, build_fsdp, build_dual_fsocp):
         prog = builder(data)
     elif builder is build_ssdp:
         prog = builder(data, *chordal_parts(aggregate_pattern(data)))
@@ -347,7 +357,8 @@ def test_no_factor_is_discarded(spy, splu_calls, builder, nl, form, mmd):
 def _decided(sf, scaling):
     """A natural-layout KKT pattern of sf, and one that has decided its order at `scaling`."""
     natural, pattern = _kkt_pattern(sf), _kkt_pattern(sf)
-    pattern.factor(pattern.assemble(scaling)[0])
+    ks, e, _ = pattern.assemble(scaling)
+    pattern.factor(ks, e, 0.0)
     assert pattern.permc_spec == "NATURAL"
     return natural, pattern
 
@@ -385,7 +396,7 @@ def test_ridge_is_added_after_the_permutation():
     kkt, _, _ = natural.assemble(sc)
     ks, e, _ = pattern.assemble(sc)
     r = np.linspace(0.0, 29.0, pattern.n)
-    x = _factor(pattern, ks, e, 0.5)(r)
+    x = pattern.factor(ks, e, 0.5)(r)
     np.testing.assert_allclose((kkt + 0.5 * sp.eye(pattern.n)) @ x, r, atol=1e-10)
 
 
@@ -432,6 +443,24 @@ def test_ssocp_splits_off_its_quadratic_constraint_rows(nl):
     assert min(np.diff(sf.A.indptr)[quad]) < 0.2 * pattern.q
 
 
+@pytest.mark.parametrize("nl", [3, 4])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_free_columns_join_the_first_block(builder, nl):
+    # a (D) form's free columns are columns of B with no diagonal entry: no third block
+    sf = _lattice_sf(builder, nl, form="D")
+    free = ConeLayout(sf.K).free_idx
+    assert free.size
+    pattern = _kkt_pattern(sf)
+    p, q = pattern.A.shape
+    assert pattern.n == p + q
+    ks, e, _ = pattern.assemble(_ssocp_scaling(ConeLayout(sf.K), False))
+    assert e.shape[1] == 0 and ks.shape == (p + q,) * 2
+    diag = np.empty(pattern.n)
+    diag[pattern.sparse] = ks.diagonal()
+    assert not diag[free].any() and not diag[q:].any()
+    assert np.all(np.delete(diag[:q], free) > 0.0)
+
+
 @pytest.mark.parametrize(
     "builder,form",
     [(build_fsocp, "P"), (build_ssocp, "D"), (build_dual_ssocp, "P"), (build_fsdp, "P"), (build_ssdp, "P")],
@@ -475,9 +504,9 @@ def test_block_elimination_matches_a_full_factorization(monkeypatch, interior, r
     assert np.array_equal(eq, eq0)
     r = np.random.default_rng(5).standard_normal(pattern.n)
     want = spla.splu(sp.csc_matrix(kkt + ridge * sp.eye(pattern.n))).solve(r)
-    got = _factor(pattern, ks, e, ridge)(r)  # the decision
+    got = pattern.factor(ks, e, ridge)(r)  # the decision
     ks, e, _ = pattern.assemble(sc)
-    again = _factor(pattern, ks, e, ridge)(r)  # in the decided layout
+    again = pattern.factor(ks, e, ridge)(r)  # in the decided layout
     for x in (got, again):
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -509,7 +538,7 @@ def test_singular_schur_complement_takes_the_ridge_retry(splu_calls):
     ks, e, _ = pattern.assemble(sc)
     assert e.shape == (pattern.n - 4, 4)
     with pytest.raises(RuntimeError):
-        _factor(pattern, ks, e, 0.0)
+        pattern.factor(ks, e, 0.0)
     # the retry in the deciding iteration: MMD succeeds on K_s, then S is singular
     pattern = _KktPattern(A, layout)
     splu_calls.clear()
