@@ -154,14 +154,11 @@ def _build_socp(data: HomogenizedData, pairs, isolated, kind):
     # diagonal nonnegativity is implied by the minors for covered vertices
     # and required at isolated ones; declaring all of them nonneg keeps the
     # solution set and avoids free-variable splitting in the (P) lowering
-    for i in range(1, N + 1):
-        prog.add_var_block(("d", i), "nonneg", 1)
-    if pairs:
-        prog.add_var_block(("off",), "free", len(pairs))
-    # columns: X_ii at i - 1, X_ij of the k-th pair at N + k
-    P = _int_rows(pairs, len(pairs), 2)
     n = len(pairs)
-    di, dj, off = P[:, 0] - 1, P[:, 1] - 1, N + np.arange(n)
+    d = prog.add_var_block(("d",), "nonneg", 1, N).start - 1  # X_ii at d + i
+    o = prog.add_var_block(("off",), "free", n).start  # X_ij of the k-th pair at o + k
+    P = _int_rows(pairs, n, 2)
+    di, dj, off = d + P[:, 0], d + P[:, 1], o + np.arange(n)
 
     # pair k: soc rows 3k..3k+2 = ((X_ii + X_jj)/2, (X_ii - X_jj)/2, X_ij)
     prog.add_rows(
@@ -176,8 +173,8 @@ def _build_socp(data: HomogenizedData, pairs, isolated, kind):
     def terms(mats):
         """(k, col, val) of Q . X for each Q in mats: 2 Q_ij on each off-diagonal."""
         k, i, j, v = _entries(mats)
-        col, two = i - 1, i != j
-        col[two] = N + _pair_index(N, P, i[two], j[two])
+        col, two = d + i, i != j
+        col[two] = o + _pair_index(N, P, i[two], j[two])
         return k, col, np.where(two, 2.0 * v, v)
 
     _, col, val = terms(data.Q[:1])
@@ -220,21 +217,13 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
         "max",
         {"kind": kind, "dim": N, "m": data.m, "pairs": pairs, "isolated": isolated},
     )
-    m = data.m
-    if m:
-        prog.add_var_block(("y",), "nonneg", m)
-    prog.add_var_block(("xi",), "free", 1)
-    for (i, j) in pairs:
-        prog.add_var_block(("W", i, j), "soc", 3)
-    if isolated:
-        prog.add_var_block(("w",), "nonneg", len(isolated))
-    # columns: y_k at k - 1, xi at m, (h, g, r) of the k-th pair from
-    # m + 1 + 3k, w of the t-th isolated vertex at m + 1 + 3 len(pairs) + t
-    P = _int_rows(pairs, len(pairs), 2)
-    n = len(pairs)
-    W = m + 1 + 3 * np.arange(n)
+    m, n = data.m, len(pairs)
+    y = prog.add_var_block(("y",), "nonneg", m).start - 1  # y_k at y + k
+    xi = prog.add_var_block(("xi",), "free", 1).start
+    W = prog.add_var_block(("W",), "soc", 3, n).start + 3 * np.arange(n)  # (h, g, r) per pair
     iso = np.array(isolated, dtype=np.intp)
-    w = m + 1 + 3 * n + np.arange(iso.size)
+    w = prog.add_var_block(("w",), "nonneg", iso.size).start + np.arange(iso.size)
+    P = _int_rows(pairs, n, 2)
 
     # rows: position (i, i) at i - 1, the k-th pair at N + k
     k, i, j, v = _entries((*data.Q, data.H0))
@@ -245,7 +234,7 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
     const = np.zeros(N + n)
     const[row[k == 0]] = v[k == 0]
     lhs = k > 0
-    col = np.where(k <= m, k - 1, m)[lhs]  # y_{k-1}, or xi for H_0
+    col = np.where(k <= m, y + k, xi)[lhs]  # y_{k-1}, or xi for H_0
     val = np.where(k <= m, v, -v)[lhs]
 
     # cone terms: -(h + g) of W^{ab} at (a, a), -(h - g) at (b, b), -r at (a, b);
@@ -259,7 +248,7 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
         np.concatenate([val, -ones, -ones, -ones, ones, -ones, -np.ones(iso.size)]),
         -const,
     )
-    prog.set_objective({m: 1.0})
+    prog.set_objective({xi: 1.0})
     return prog
 
 
@@ -288,10 +277,8 @@ def extract_entries(prog: ConicProgram, values: np.ndarray) -> dict:
         for uidx, verts in enumerate(prog.metadata["cliques"], start=1):
             out.update(_psd_entries(prog, ("X", uidx), verts, values))
     elif kind in ("fsocp", "ssocp"):
-        for i in range(1, N + 1):
-            out[(i, i)] = values[prog.index(("d", i))]
-        for k, (i, j) in enumerate(prog.metadata["pairs"]):
-            out[(i, j)] = values[prog.index(("off",), k)]
+        out.update(zip(((i, i) for i in range(1, N + 1)), values[prog.block(("d",)).span]))
+        out.update(zip(map(tuple, prog.metadata["pairs"]), values[prog.block(("off",)).span]))
     else:
         raise BuildError(f"no matrix extraction for kind {kind!r}")
     return out
@@ -301,7 +288,7 @@ def _psd_entries(prog, key, verts, values):
     """{(i, j): value} of the psd block `key`, whose rows are the vertices `verts`."""
     blk = prog.block(key)
     ix = svec_index(blk.dim)
-    vals = values[blk.start : blk.start + blk.scalar_len] / ix.scale
+    vals = values[blk.span] / ix.scale
     verts = np.asarray(verts)
     a, b = verts[ix.rows], verts[ix.cols]
     i, j = np.minimum(a, b), np.maximum(a, b)
@@ -317,17 +304,10 @@ def extract_dual_parts(prog: ConicProgram, values: np.ndarray):
     kind = prog.metadata["kind"]
     if kind not in ("dual_fsocp", "dual_ssocp"):
         raise BuildError(f"no dual extraction for kind {kind!r}")
-    m = prog.metadata["m"]
-    y = np.array([values[prog.index(("y",), k)] for k in range(m)]) if m else np.zeros(0)
-    xi = float(values[prog.index(("xi",))])
-    W = {}
-    for (i, j) in prog.metadata["pairs"]:
-        h = values[prog.index(("W", i, j), 0)]
-        g = values[prog.index(("W", i, j), 1)]
-        r = values[prog.index(("W", i, j), 2)]
-        W[(i, j)] = np.array([[h + g, r], [r, h - g]])
-    w = {
-        v: float(values[prog.index(("w",), k)])
-        for k, v in enumerate(prog.metadata["isolated"])
-    }
+    y = np.array(values[prog.block(("y",)).span], dtype=float)
+    xi = float(values[prog.block(("xi",)).start])
+    h, g, r = np.reshape(values[prog.block(("W",)).span], (-1, 3)).T
+    blocks = np.stack([h + g, r, r, h - g], axis=1).reshape(-1, 2, 2)
+    W = dict(zip(map(tuple, prog.metadata["pairs"]), blocks))
+    w = dict(zip(prog.metadata["isolated"], map(float, values[prog.block(("w",)).span])))
     return y, xi, W, w

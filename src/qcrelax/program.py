@@ -1,9 +1,13 @@
 """Conic programs and their lowering to the standard forms (P) and (D).
 
 A ConicProgram is an affine conic problem over scalar variables grouped
-in blocks.  Each block has a domain (free, nonneg, soc, psd); on top of
-that the program may carry affine second-order-cone constraints, linear
-equalities and linear inequalities.
+in blocks.  Each block is a run of `count` equal cones of one domain
+(free, nonneg, soc, psd), laid out one after another from the block's
+start, so a relaxation declares one block per variable family (one soc
+block for all its 2x2 minors, say) and reads each family's columns off
+that start.  On top of the blocks the program may carry affine
+second-order-cone constraints, linear equalities and linear
+inequalities.
 
 The rows of each of the three sections (equalities, soc rows,
 inequalities) are kept as chunks of COO arrays: row (counted from 0
@@ -120,16 +124,21 @@ def smat(vec: np.ndarray, side: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VarBlock:
+    """A run of `count` equal cones, laid out one after another from `start`."""
+
     key: tuple
     kind: str  # "free" | "nonneg" | "soc" | "psd"
-    dim: int  # psd: side
+    dim: int  # of each cone; psd: its side
     start: int
+    count: int = 1
 
     @property
     def scalar_len(self) -> int:
-        if self.kind == "psd":
-            return svec_len(self.dim)
-        return self.dim
+        return self.count * (svec_len(self.dim) if self.kind == "psd" else self.dim)
+
+    @property
+    def span(self) -> slice:
+        return slice(self.start, self.start + self.scalar_len)
 
 
 class ConicProgram:
@@ -156,11 +165,18 @@ class ConicProgram:
         self.objective: dict = {}
         self.objective_const = 0.0
 
-    def add_var_block(self, key, kind, dim) -> VarBlock:
+    def add_var_block(self, key, kind, dim, count=1) -> VarBlock:
+        """Declare `count` cones of kind `kind` and dimension `dim` (psd: side) under `key`."""
         key = tuple(key)
         if key in self._index:
             raise ValueError(f"duplicate variable block {key}")
-        blk = VarBlock(key, kind, dim, self.num_vars)
+        if kind not in ("free", "nonneg", "soc", "psd"):
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (dim, count)):
+            raise ValueError("block dim and count must be nonnegative integers")
+        if kind in ("soc", "psd") and dim < 1:
+            raise ValueError(f"a {kind} block needs dim >= 1")
+        blk = VarBlock(key, kind, int(dim), self.num_vars, int(count))
         self.var_blocks.append(blk)
         self._index[key] = blk
         self.num_vars += blk.scalar_len
@@ -238,14 +254,7 @@ class ConicProgram:
     def cone_inventory(self) -> dict:
         inv = {"nonneg": 0, "soc": 0, "psd": 0, "free": 0}
         for blk in self.var_blocks:
-            if blk.kind == "psd":
-                inv["psd"] += 1
-            elif blk.kind == "soc":
-                inv["soc"] += 1
-            elif blk.kind == "nonneg":
-                inv["nonneg"] += blk.dim
-            else:
-                inv["free"] += blk.dim
+            inv[blk.kind] += blk.count if blk.kind in ("soc", "psd") else blk.scalar_len
         inv["soc"] += len(self.soc_dims)
         return inv
 
@@ -299,7 +308,7 @@ def _free_mask(prog: ConicProgram) -> np.ndarray:
     free = np.zeros(prog.num_vars, dtype=bool)
     for blk in prog.var_blocks:
         if blk.kind == "free":
-            free[blk.start : blk.start + blk.scalar_len] = True
+            free[blk.span] = True
     return free
 
 
@@ -309,7 +318,12 @@ _cone_block = functools.lru_cache(maxsize=256)(ConeBlock)
 
 
 def _cone_blocks(prog: ConicProgram) -> list:
-    return [_cone_block(blk.kind, blk.dim) for blk in prog.var_blocks if blk.kind != "free"]
+    """The cones of the non-free blocks, `count` of each; an empty block adds none."""
+    K = []
+    for blk in prog.var_blocks:
+        if blk.kind != "free" and blk.scalar_len:
+            K += [_cone_block(blk.kind, blk.dim)] * blk.count
+    return K
 
 
 def _soc_and_slack_blocks(prog: ConicProgram) -> list:

@@ -192,7 +192,8 @@ class _KktPattern:
     def __init__(self, A, layout: ConeLayout):
         p, q = A.shape
         free = layout.free_idx
-        self.A, self.free_idx = A, free
+        # one transpose per solve: each A.T builds a new CSC matrix object
+        self.A, self.AT, self.free_idx = A, A.T, free
         self.p, self.q = p, q
         self.n = n = p + q
         # the SuperLU ordering of the next factorization; MMD becomes NATURAL once decided
@@ -378,12 +379,12 @@ class _KktSolver:
         Hinv is zero on free coordinates, so the refinement's residual in g
         is one formula for both kinds of rows.
         """
-        A, sc = self.pattern.A, self.scaling
+        A, AT, sc = self.pattern.A, self.pattern.AT, self.scaling
         u, v = self._raw_solve(g, h)
         target = 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
         prev = np.inf
         for _ in range(MAX_REFINE):
-            r_g = g - (sc.apply_Hinv(u) - A.T @ v)
+            r_g = g - (sc.apply_Hinv(u) - AT @ v)
             r_h = h - A @ u
             err = np.linalg.norm(r_g) + np.linalg.norm(r_h)
             if not np.isfinite(err) or err <= target or err >= 0.5 * prev:
@@ -444,6 +445,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     mu_trace = []
     res = (np.inf, np.inf, np.inf)
     pattern = _KktPattern(A, layout)
+    AT = pattern.AT
 
     def make(status, iters):
         if status in ("Optimal", "IterationLimit", "NumericalFailure"):
@@ -473,7 +475,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
             # statuses: a Farkas ray must actually satisfy its homogeneous
             # equations, not merely have the right objective sign
             by, cx = float(b @ y), float(c @ x)
-            pq = np.linalg.norm(A.T @ y + s)
+            pq = np.linalg.norm(AT @ y + s)
             dq = np.linalg.norm(A @ x)
             if by > 1e-12 and pq <= 1e-6 * by:
                 return make("PrimalInfeasible", it)
@@ -482,7 +484,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
             return make("NumericalFailure", it)
 
         # embedding residuals
-        rx = A.T @ y + s - c * tau
+        rx = AT @ y + s - c * tau
         ry = A @ x - b * tau
         rt = float(c @ x) - float(b @ y) + kappa
 
@@ -514,7 +516,7 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
             # recover ds from the dual Newton row itself; the algebraic form
             # Winv dtilde - Hinv dx amplifies solve error by cond(W) and lets
             # the dual residual drift once mu is small
-            ds = -eta * rx - A.T @ dy + c * dtau
+            ds = -eta * rx - AT @ dy + c * dtau
             ds[free] = 0.0
             dkap = (dg - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkap

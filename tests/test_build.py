@@ -364,6 +364,75 @@ def test_dual_rhs_keeps_the_sign_of_zero():
     assert same_bytes(np.signbit(got), np.signbit(want))
 
 
+def hand_built_data():
+    """m = 0 and one edge (1, 2), so vertices 3 and 4 are isolated."""
+    q0 = SparseSymMatrix(4, {(1, 1): 1.0, (1, 2): 0.5, (3, 3): 2.0})
+    return HomogenizedData(4, (q0,), SparseSymMatrix(4, {(1, 1): 1.0}))
+
+
+def socp_programs(data):
+    pat = aggregate_pattern(data)
+    yield build_fsocp(data)
+    yield build_ssocp(data, pat)
+    yield build_dual_fsocp(data)
+    yield build_dual_ssocp(data, pat)
+
+
+def reference_extract_entries(prog, values):
+    """The SOCP entries read one scalar at a time through `prog.index`."""
+    N = prog.metadata["dim"]
+    out = {(i, i): values[prog.index(("d",), i - 1)] for i in range(1, N + 1)}
+    for k, (i, j) in enumerate(prog.metadata["pairs"]):
+        out[(i, j)] = values[prog.index(("off",), k)]
+    return out
+
+
+def reference_extract_dual_parts(prog, values):
+    """(y, xi, W, w) read one scalar at a time through `prog.index`."""
+    m = prog.metadata["m"]
+    y = np.array([values[prog.index(("y",), k)] for k in range(m)], dtype=float)
+    xi = float(values[prog.index(("xi",))])
+    W = {}
+    for k, (i, j) in enumerate(prog.metadata["pairs"]):
+        h, g, r = (values[prog.index(("W",), 3 * k + o)] for o in range(3))
+        W[(i, j)] = np.array([[h + g, r], [r, h - g]])
+    w = {v: float(values[prog.index(("w",), t)]) for t, v in enumerate(prog.metadata["isolated"])}
+    return y, xi, W, w
+
+
+@pytest.mark.parametrize(
+    "data",
+    [hand_built_data()]
+    + [homogenize(gen_lattice(LatticeSpec(nl, 5, 0))) for nl in (2, 3)]
+    + [homogenize(gen_zero_diag(ZeroDiagSpec(8, 5, 0.3, 0)))],
+    ids=["hand-built", "lattice-2", "lattice-3", "zero-diag-8"],
+)
+def test_extractors_read_the_exact_columns(data):
+    rng = np.random.default_rng(7)
+    for prog in socp_programs(data):
+        keys = [blk.key for blk in prog.var_blocks]
+        values = rng.standard_normal(prog.num_vars)
+        if prog.metadata["kind"].startswith("dual"):
+            assert keys == [("y",), ("xi",), ("W",), ("w",)]
+            got, want = extract_dual_parts(prog, values), reference_extract_dual_parts(prog, values)
+            assert same_bytes(got[0], want[0])
+            assert type(got[1]) is float and got[1] == want[1]
+            assert list(got[2]) == list(want[2])
+            assert all(same_bytes(got[2][key], want[2][key]) for key in want[2])
+            assert list(got[3].items()) == list(want[3].items())
+            assert all(type(v) is float for v in got[3].values())
+        else:
+            assert keys == [("d",), ("off",)]
+            got, want = extract_entries(prog, values), reference_extract_entries(prog, values)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is np.float64 for v in got.values())
+
+
+def test_hand_built_data_has_isolated_vertices_and_no_constraint():
+    data = hand_built_data()
+    assert data.m == 0 and aggregate_pattern(data).isolated == {3, 4}
+
+
 def test_dual_off_pattern_data_rejected():
     q = SparseSymMatrix(3, {(1, 3): 1.0, (1, 1): 1.0})
     data = HomogenizedData(3, (q,), SparseSymMatrix(3, {(1, 1): 1.0}))

@@ -185,9 +185,47 @@ def test_cone_inventory():
     prog.add_var_block(("X",), "psd", 3)
     prog.add_var_block(("d",), "nonneg", 2)
     prog.add_var_block(("u",), "free", 1)
+    prog.add_var_block(("t",), "soc", 3, 3)
+    prog.add_var_block(("e",), "nonneg", 0)
     prog.add_soc_constraint([{0: 1.0}, {1: 1.0}], [0.0, 0.0])
     inv = prog.cone_inventory()
-    assert inv == {"nonneg": 2, "soc": 1, "psd": 1, "free": 1}
+    assert inv == {"nonneg": 2, "soc": 4, "psd": 1, "free": 1}
+    # a run of three cones lowers to three cones, and the empty block to none
+    soc3, soc2 = ConeBlock("soc", 3), ConeBlock("soc", 2)
+    want = [ConeBlock("psd", 3), ConeBlock("nonneg", 2), soc3, soc3, soc3, soc2]
+    assert to_standard_form(prog, "D").K == want
+
+
+def test_add_var_block_rejects_bad_blocks():
+    prog = ConicProgram("min")
+    prog.add_var_block(("x",), "nonneg", 2)
+    bad = [
+        ("sco", 3, 1),  # unknown kind
+        ("zero", 3, 1),  # a cone of the standard forms, not a variable kind
+        ("soc", 0, 1),
+        ("psd", 0, 2),
+        ("nonneg", -1, 1),
+        ("soc", 3, -1),
+        ("nonneg", 2.0, 1),
+        ("soc", 3, 1.5),
+        ("free", "2", 1),
+        ("nonneg", None, 1),
+    ]
+    for kind, dim, count in bad:
+        with pytest.raises(ValueError):
+            prog.add_var_block(("y",), kind, dim, count)
+    with pytest.raises(ValueError, match="duplicate"):
+        prog.add_var_block(("x",), "nonneg", 1)
+    # a rejected block leaves the program as it was
+    assert [blk.key for blk in prog.var_blocks] == [("x",)] and prog.num_vars == 2
+    with pytest.raises(KeyError):
+        prog.block(("y",))
+    # empty runs are blocks too, with no column
+    assert prog.add_var_block(("y",), "soc", 3, 0).span == slice(2, 2)
+    assert prog.add_var_block(("z",), "free", 0).span == slice(2, 2)
+    assert prog.num_vars == 2
+    run = prog.add_var_block(("W",), "psd", 2, 3)
+    assert (run.start, run.scalar_len, run.span) == (2, 9, slice(2, 11))
 
 
 def test_export_sdpa_format(tmp_path):
@@ -304,9 +342,9 @@ def reference_lower_primal(prog):
     sub_by_row = {(ci, ri): (j, a, f) for j, (ci, ri, a, f) in subs.items()}
     K, col_of, ncols = [], {}, 0
     for blk in prog.var_blocks:
-        if blk.kind == "free":
+        if blk.kind == "free" or not blk.scalar_len:
             continue
-        K.append(ConeBlock(blk.kind, blk.dim))
+        K += [ConeBlock(blk.kind, blk.dim)] * blk.count
         for o in range(blk.scalar_len):
             col_of[blk.start + o] = ("col", ncols + o)
         ncols += blk.scalar_len
@@ -399,9 +437,9 @@ def reference_lower_dual(prog):
     p = prog.num_vars
     K, at_rows, cparts = [], [], []
     for blk in prog.var_blocks:
-        if blk.kind == "free":
+        if blk.kind == "free" or not blk.scalar_len:
             continue
-        K.append(ConeBlock(blk.kind, blk.dim))
+        K += [ConeBlock(blk.kind, blk.dim)] * blk.count
         for o in range(blk.scalar_len):
             at_rows.append({blk.start + o: -1.0})
             cparts.append(0.0)
