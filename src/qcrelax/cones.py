@@ -10,7 +10,8 @@ operation runs once per group on stacked arrays: the SOC formulas on
 (k, d) arrays, the PSD ones on (k, side, side) matrix stacks with batched
 `eigh`, `cholesky` and `matmul`.  The layout provides the Jordan-algebra
 pieces the solver needs: identity element, barrier degree, strict
-interior checks, maximum step to the boundary and Nesterov-Todd scalings.
+interior checks, maximum step to the boundary (of one vector, or of a
+stack such as the pair (x, s)) and Nesterov-Todd scalings.
 The NT scaling of a second-order cone is W = eta (2 q q' - J), and its
 inverse (2 Jq (Jq)' - J) / eta has the same form, so `Scaling` builds both
 by one formula and keeps them as dense (k, d, d) blocks per group, applied
@@ -112,22 +113,30 @@ class ConeLayout:
     # -- step to the boundary --------------------------------------------------
 
     def max_step(self, z: np.ndarray, dz: np.ndarray) -> float:
-        """sup { a >= 0 : z + t*dz in cone for all t in [0, a] }."""
+        """sup { a >= 0 : z + t*dz in cone for all t in [0, a] }.
+
+        z and dz may also be stacks of vectors along a first axis, such as
+        the pair (x, s) and its direction (dx, ds): the step is then the
+        smallest over the stack, with one pass per cone group for all of it.
+        """
         alpha = np.inf
+        # np.take keeps each vector's gather C-contiguous, as for a single vector, so
+        # the per-cone sums below round alike; z[..., take] would not, and is slower
         for d, take in self._soc_take.items():
-            zz, dd = z[take], dz[take]
+            zz, dd = np.take(z, take, axis=-1), np.take(dz, take, axis=-1)
             # no cone is left later than its head reaches zero; for d = 1 that
             # is the exact step, which the double root of the quadratic may
             # lose to rounding, so the quadratic is skipped there
-            alpha = min(alpha, _ray_step(zz[:, 0], dd[:, 0]))
+            alpha = min(alpha, _ray_step(zz[..., 0], dd[..., 0]))
             if d > 1:
-                a = dd[:, 0] ** 2 - np.sum(dd[:, 1:] ** 2, axis=1)
-                bq = 2.0 * (zz[:, 0] * dd[:, 0] - np.sum(zz[:, 1:] * dd[:, 1:], axis=1))
-                cq = zz[:, 0] ** 2 - np.sum(zz[:, 1:] ** 2, axis=1)
-                steps = _soc_boundary_steps(a, bq, cq, zz[:, 0], dd[:, 0])
+                a = dd[..., 0] ** 2 - _tail_dot(dd, dd)
+                bq = 2.0 * (zz[..., 0] * dd[..., 0] - _tail_dot(zz, dd))
+                cq = zz[..., 0] ** 2 - _tail_dot(zz, zz)
+                steps = _soc_boundary_steps(a, bq, cq, zz[..., 0], dd[..., 0])
                 alpha = min(alpha, float(np.min(steps)))
         for side, take in self._psd_take.items():
-            tmin = float(np.min(_psd_boundary_rates(smat(z[take], side), smat(dz[take], side))))
+            Z, D = (smat(np.take(v, take, axis=-1), side) for v in (z, dz))
+            tmin = float(np.min(_psd_boundary_rates(Z, D)))
             if tmin < 0:
                 alpha = min(alpha, -1.0 / tmin)
         return alpha
@@ -136,6 +145,15 @@ class ConeLayout:
 
     def scaling(self, x: np.ndarray, s: np.ndarray) -> "Scaling":
         return Scaling(self, x, s)
+
+
+def _tail_dot(u, v):
+    """The inner products of the tails u[..., 1:] and v[..., 1:] of each cone.
+
+    einsum takes them about 4 times faster than np.sum over a short last
+    axis, and for tails of one or two entries it sums in the same order.
+    """
+    return np.einsum("...i,...i->...", u[..., 1:], v[..., 1:])
 
 
 def _ray_step(z, dz):
@@ -189,7 +207,8 @@ def _psd_boundary_rates(Z, D):
     """Per block of a stack, the smallest generalized eigenvalue w of (D, Z).
 
     A block with w < 0 leaves the cone at t = -1/w.  Z is whitened by its
-    Cholesky factor, or by its eigenvalues if that factorization fails.
+    Cholesky factor, or by its eigenvalues if that factorization fails for
+    any block of the stack.
     """
     try:
         Wh = np.linalg.inv(np.linalg.cholesky(Z))

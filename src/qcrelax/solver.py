@@ -12,10 +12,14 @@ augmented KKT system  K = [[D, B'], [B, 0]]  with B = A W, where W is
 the NT scaling on cone columns and the identity on free ones, and D is
 1 on cone columns and 0 on free ones (see _KktSolver).  The solve has
 iterative refinement, and a small diagonal ridge only when a
-factorization fails outright (for example on rank-deficient rows such as
-redundant pinning constraints).  The KKT system's sparsity pattern and
-the index maps into it are built once per solve (see _KktPattern); each
-iteration only computes values.  Constraint rows that are dense against the others (the
+factorization fails (for example on rank-deficient rows such as
+redundant pinning constraints).  A factorization fails when SuperLU or the
+dense LU raises, or when the first real solve with it, the (-c, b) system
+of each step, is not finite or grows so much that K must be singular to
+working precision; no separate probe solve is made.  The KKT system's
+sparsity pattern and the index maps into it are built once per solve (see
+_KktPattern); each iteration only computes values.  Constraint rows that
+are dense against the others (the
 quadratic constraints of S-SOCP in the (P) form) are kept out of the
 sparse LU and enter through a small dense Schur complement: each
 iteration assembles the sparse part K_s and the dense rows' columns E
@@ -56,12 +60,29 @@ SPLIT_SHARE = 0.25
 #: iterative refinement steps at most per Newton solve
 MAX_REFINE = 8
 
-#: SuperLU settings for a symmetric ordering: prefer diagonal pivots.  The threshold
-#: is small, as SuperLU's symmetric mode intends: at 0.01, off-diagonal pivots on the
-#: zero (2,2) block let the later factors of S-SOCP (P) at n_L = 24 grow to 10
-#: times the fill of the first factorization (1.9 times at 1e-3), and below 1e-3
-#: F-SOCP (P) solves fail
-_SYMMETRIC = dict(diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
+#: a factor fails if the first solve with it, in equilibrated units, exceeds its
+#: right-hand side this many times.  The equilibrated K has entries of at most 1, so
+#: cond(K) is at least that ratio.  A pivot at rounding level in an exactly singular K
+#: gives about 1 / eps, and a factor made regular by the first ridge at most 1 / RIDGE.
+#: On the six relaxations of the lattices (n_L 3-24, both forms) no first solve
+#: exceeded 2e3
+SINGULAR = 1e-2 / np.finfo(float).eps
+
+#: SuperLU's supernode settings for every factorization: no relaxed supernodes
+#: and panels of one column.  Relaxed supernodes pay off on dense fronts, but these
+#: KKT factors hold 8-15 entries per column, so the dense-block work costs more than
+#: it saves.  On mid-solve factors (one BLAS thread, best of 30) F-SOCP (P) at n_L = 6
+#: went from 2.37 to 1.76 ms per factorization and from 0.23 to 0.15 ms per solve,
+#: S-SOCP (P) at n_L = 24 from 1.79 to 1.26 ms and 0.35 to 0.21 ms; F-SDP and S-SDP
+#: (P) at n_L = 8, ordered by COLAMD, stayed within noise
+_UNRELAXED = dict(relax=1, panel_size=1)
+
+#: SuperLU settings for a symmetric ordering: _UNRELAXED's supernodes, and prefer
+#: diagonal pivots.  The threshold is small, as SuperLU's symmetric mode intends: at
+#: 0.01, off-diagonal pivots on the zero (2,2) block let the later factors of S-SOCP
+#: (P) at n_L = 24 grow to 10 times the fill of the first factorization (1.9 times at
+#: 1e-3), and below 1e-3 F-SOCP (P) solves fail
+_SYMMETRIC = dict(_UNRELAXED, diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -73,12 +94,14 @@ class SolverConfig:
     step_fraction: float = 0.99
 
     def __post_init__(self):
+        # a bool is no number here, though True would compare as 1
         tols = (self.tol_gap, self.tol_primal, self.tol_dual)
-        if not all(np.isfinite(t) and t > 0 for t in tols):
+        if not all(not isinstance(t, (bool, np.bool_)) and np.isfinite(t) and t > 0 for t in tols):
             raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.step_fraction < 1.0):
             raise ValueError("step_fraction must lie in (0, 1)")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        it = self.max_iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
             raise ValueError("max_iterations must be an integer >= 1")
 
 
@@ -284,15 +307,18 @@ class _KktPattern:
     def factor(self, ks, e, ridge):
         """Factor K + ridge I from (K_s, E), laid out as `assemble` gives them now.
 
-        Returns a function that solves with the factors.  The first MMD
-        factorization lays K_s out again in its order; the returned solve
-        keeps the layout that ks and e were assembled in.
+        Returns a function that solves with the factors.  The factors are
+        not checked here: `_KktSolver` reads the first real solve with them
+        as their guard.  The first MMD factorization lays K_s out again in its
+        order; the returned solve keeps the layout that ks and e were
+        assembled in.  Every factorization keeps SuperLU's supernodes
+        unrelaxed (see _UNRELAXED).
         """
         sparse = self.sparse
         if ridge:
             ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
         if self.permc_spec == "COLAMD":
-            lu = spla.splu(ks)
+            lu = spla.splu(ks, **_UNRELAXED)
         else:
             lu = spla.splu(ks, permc_spec=self.permc_spec, **_SYMMETRIC)
             if self.permc_spec == "MMD_AT_PLUS_A":
@@ -342,11 +368,18 @@ class _KktSolver:
     of K_s = K without them.  The Schur step is like the normal equations
     on the dense rows alone, and the iterative refinement of `solve2`
     still checks every solve against the unsplit system, through A.  A
-    ridge is only introduced when a factorization fails outright, or when
-    S is singular.
+    ridge is only introduced when a factorization fails.
+
+    The constructor factors and at once solves the first system (g, h)
+    with `solve2`; `first` holds its solution (the step solves (-c, b)
+    first at every iteration).  That first real solve is the factor's
+    guard, so no probe solve is made.  A factorization fails if SuperLU
+    or the Schur complement's LU raises, or if the unrefined solution of
+    the first system, in equilibrated units, is not finite or exceeds its
+    right-hand side SINGULAR times.
     """
 
-    def __init__(self, pattern: _KktPattern, scaling):
+    def __init__(self, pattern: _KktPattern, scaling, g, h):
         self.pattern = pattern
         self.scaling = scaling
         self.ok = False
@@ -356,8 +389,8 @@ class _KktSolver:
             ks, e, self.eq = pattern.assemble(scaling)
             try:
                 self.lu_solve = pattern.factor(ks, e, ridge)
-                probe = self.lu_solve(np.ones(pattern.n))
-                if np.all(np.isfinite(probe)):
+                self.first = self.solve2(g, h)
+                if self.bounded:
                     self.ok = True
                     return
             except RuntimeError:
@@ -365,22 +398,28 @@ class _KktSolver:
             ridge = RIDGE if ridge == 0.0 else ridge * 1e4
 
     def _raw_solve(self, g, h):
+        """(u, v) from the factors alone, and whether the solve passes the guard."""
         sc, free, q = self.scaling, self.pattern.free_idx, self.pattern.q
         rhs = np.concatenate([sc.apply_W(g), h])
         rhs[free] = g[free]
-        sol = self.eq * self.lu_solve(self.eq * rhs)
+        rhs *= self.eq
+        sol = self.lu_solve(rhs)
+        # false for a non-finite solution too
+        bounded = np.linalg.norm(sol) <= SINGULAR * np.linalg.norm(rhs)
+        sol *= self.eq
         u = sc.apply_W(sol[:q])
         u[free] = sol[free]
-        return u, -sol[q:]
+        return u, -sol[q:], bounded
 
     def solve2(self, g, h):
         """Solve  Hinv u - A' v = g (cone rows), -A_F' v = g_F,  A u = h.
 
         Hinv is zero on free coordinates, so the refinement's residual in g
-        is one formula for both kinds of rows.
+        is one formula for both kinds of rows.  `bounded` records whether
+        the unrefined solve passed the guard.
         """
         A, AT, sc = self.pattern.A, self.pattern.AT, self.scaling
-        u, v = self._raw_solve(g, h)
+        u, v, self.bounded = self._raw_solve(g, h)
         target = 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
         prev = np.inf
         for _ in range(MAX_REFINE):
@@ -390,7 +429,7 @@ class _KktSolver:
             if not np.isfinite(err) or err <= target or err >= 0.5 * prev:
                 break
             prev = err
-            du, dv = self._raw_solve(r_g, r_h)
+            du, dv, _ = self._raw_solve(r_g, r_h)
             u = u + du
             v = v + dv
         return u, v
@@ -493,10 +532,10 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         mu = (layout.dot_trace(x, s) + tau * kappa) / (nu + 1)
         mu_trace.append(float(mu))
 
-        kkt = _KktSolver(pattern, sc)
+        kkt = _KktSolver(pattern, sc, -c, b)
         if not kkt.ok:
             return make("NumericalFailure", it)
-        u2, v2 = kkt.solve2(-c, b)
+        u2, v2 = kkt.first
         den = float(c @ u2) - float(b @ v2) - kappa / tau
         if den >= 0.0:
             # c'u2 - b'v2 equals -|Winv u2|^2 exactly; the direct form can
@@ -521,8 +560,10 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
             dkap = (dg - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkap
 
+        xs = np.stack([x, s])
+
         def boundary(dx, ds, dtau, dkap):
-            a = min(layout.max_step(x, dx), layout.max_step(s, ds))
+            a = layout.max_step(xs, np.stack([dx, ds]))
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkap < 0:

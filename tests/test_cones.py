@@ -298,6 +298,46 @@ def test_nt_scaling_on_every_soc_dimension():
             np.testing.assert_allclose(Wc @ J @ Wc, want, rtol=1e-12, atol=1e-12)
 
 
+# EVERY_SOC with a side group of three psd 3 blocks and a psd 2 group, and an
+# SOC(12) whose tail sums run past eight terms
+JOINT = EVERY_SOC + [
+    ConeBlock("psd", 3), ConeBlock("psd", 2), ConeBlock("soc", 12), ConeBlock("psd", 3),
+]
+
+
+def test_joint_step_of_a_stacked_pair_is_the_smaller_step():
+    layout = ConeLayout(JOINT)
+    assert len(layout._psd_take[3]) == 3
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        x, s = interior_point(layout, rng), interior_point(layout, rng)
+        dx, ds = rng.standard_normal((2, layout.dim)) * rng.uniform(0.1, 10.0, (2, 1))
+        want = min(layout.max_step(x, dx), layout.max_step(s, ds))
+        assert layout.max_step(np.stack([x, s]), np.stack([dx, ds])) == want
+    zero = np.zeros((2, layout.dim))
+    assert layout.max_step(np.stack([x, s]), zero) == np.inf
+
+
+def test_joint_step_with_the_eigh_fallback():
+    # an indefinite x block sends its side group to the eigh whitening; stacked
+    # with s, s's blocks take that path too
+    layout = ConeLayout(JOINT)
+    rng = np.random.default_rng(13)
+    bad = layout._psd_take[3][1]
+    for _ in range(10):
+        x, s = interior_point(layout, rng), interior_point(layout, rng)
+        x[bad] = svec(np.diag([-0.5, 1.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(smat(x[layout._psd_take[3]], 3))
+        dx, ds = 0.1 * rng.standard_normal((2, layout.dim))
+        dx[bad] = 0.0
+        ds[layout._psd_take[3]] *= 100.0  # s's psd 3 blocks bind
+        single = layout.max_step(x, dx), layout.max_step(s, ds)
+        assert single[1] < single[0]
+        got = layout.max_step(np.stack([x, s]), np.stack([dx, ds]))
+        assert got == pytest.approx(single[1], rel=1e-12)
+
+
 def test_in_interior_rejects_one_bad_block_in_a_side_group():
     layout = ConeLayout([ConeBlock("psd", 3)] * 4)
     rng = np.random.default_rng(7)

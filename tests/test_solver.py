@@ -99,6 +99,16 @@ def test_config_validation():
             SolverConfig(max_iterations=bad)
 
 
+def test_config_rejects_bools():
+    # bool is an int subclass: True would run one iteration or be a tolerance of 1.0
+    for flag in (True, False, np.True_, np.False_):
+        for name in ("tol_gap", "tol_primal", "tol_dual", "max_iterations"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: flag})
+    cfg = SolverConfig(tol_gap=1, tol_dual=np.float64(1e-6), max_iterations=np.int64(1))
+    assert solve(lp_ref(), cfg).iterations == 1
+
+
 def test_primal_infeasible():
     sf = make_sf([[1.0]], [-1.0], [1.0], [ConeBlock("nonneg", 1)])
     assert solve(sf, SolverConfig()).status == "PrimalInfeasible"
@@ -400,17 +410,104 @@ def test_ridge_is_added_after_the_permutation():
     np.testing.assert_allclose((kkt + 0.5 * sp.eye(pattern.n)) @ x, r, atol=1e-10)
 
 
+@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
+def test_every_factorization_keeps_supernodes_unrelaxed(monkeypatch, builder, nl, form, mmd):
+    options = []
+    splu = solver_mod.spla.splu
+
+    def spy(mat, **kwargs):
+        options.append((kwargs.get("relax"), kwargs.get("panel_size")))
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(solver_mod.spla, "splu", spy)
+    sol = solve(_lattice_sf(builder, nl, form=form))
+    assert sol.status == "Optimal"
+    assert options == [(1, 1)] * sol.iterations
+
+
+@pytest.mark.parametrize(
+    "bad_solve",
+    [lambda r: np.full_like(r, np.nan), lambda r: r / np.finfo(float).eps],
+    ids=["nan", "singular"],
+)
+def test_first_solve_guards_the_factor(monkeypatch, bad_solve):
+    sf = _lattice_sf(build_ssocp, 4)
+    layout = ConeLayout(sf.K)
+    pattern = _kkt_pattern(sf)
+    ridges = []
+    factor = _KktPattern.factor
+
+    def stub(self, ks, e, ridge):
+        ridges.append(ridge)
+        lu_solve = factor(self, ks, e, ridge)
+        return bad_solve if len(ridges) == 1 else lu_solve
+
+    monkeypatch.setattr(_KktPattern, "factor", stub)
+    kkt = _KktSolver(pattern, _ssocp_scaling(layout, True), -sf.c, sf.b)
+    assert kkt.ok
+    assert ridges == [0.0, solver_mod.RIDGE]  # exactly one ridge retry
+    u, v = kkt.first
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+    np.testing.assert_allclose(sf.A @ u, sf.b, atol=1e-8 * np.linalg.norm(sf.b))
+
+
+def test_every_triangular_solve_is_made_by_solve2(monkeypatch, spy):
+    # the factor's finiteness guard reads the first real solve: no probe solve
+    depth = {"solve2": 0, "factor": 0}
+    outside, in_solve2, in_factor = [], [], []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            if depth["solve2"]:
+                in_solve2.append(rhs.ndim)
+            elif depth["factor"]:
+                in_factor.append(rhs.ndim)
+            else:
+                outside.append(rhs.ndim)
+            return self._lu.solve(rhs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def entered(name, method):
+        def wrapper(*args, **kwargs):
+            depth[name] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[name] -= 1
+
+        return wrapper
+
+    splu = solver_mod.spla.splu
+    monkeypatch.setattr(solver_mod.spla, "splu", lambda *a, **k: CountingLU(splu(*a, **k)))
+    monkeypatch.setattr(_KktSolver, "solve2", entered("solve2", _KktSolver.solve2))
+    monkeypatch.setattr(_SpyPattern, "factor", entered("factor", _SpyPattern.factor))
+    sol = solve(_lattice_sf(build_ssocp, 8))
+    (pattern,) = spy
+    assert sol.status == "Optimal"
+    assert pattern.dense.size == 20 and pattern.calls == sol.iterations
+    assert outside == []
+    # Z = K_s^-1 E, one multi-column solve per factorization
+    assert in_factor == [2] * sol.iterations
+    # (-c, b), the predictor and the corrector, each with its refinement
+    assert len(in_solve2) >= 3 * sol.iterations and set(in_solve2) == {1}
+
+
 def test_ridge_retry_with_cached_order(splu_calls):
     # duplicate rows make the KKT matrix exactly singular, so only a ridge helps
     A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]))
     layout = ConeLayout([ConeBlock("nonneg", 3)])
     sc = layout.scaling(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 1.0]))
     pattern = _SpyPattern(A, layout)
-    assert _KktSolver(pattern, sc).ok  # the decision, itself after a ridge retry
+    assert _KktSolver(pattern, sc, np.ones(3), np.arange(3.0)).ok  # the decision, itself after a ridge retry
     assert pattern.permc_spec == "NATURAL"
     pattern.calls = 0
     splu_calls.clear()
-    kkt = _KktSolver(pattern, sc)
+    kkt = _KktSolver(pattern, sc, np.ones(3), np.arange(3.0))
     assert kkt.ok
     assert pattern.calls >= 2  # at least one ridge retry
     assert {spec for spec, *_ in splu_calls} == {"NATURAL"}
@@ -542,7 +639,7 @@ def test_singular_schur_complement_takes_the_ridge_retry(splu_calls):
     # the retry in the deciding iteration: MMD succeeds on K_s, then S is singular
     pattern = _KktPattern(A, layout)
     splu_calls.clear()
-    solver = _KktSolver(pattern, sc)
+    solver = _KktSolver(pattern, sc, np.ones(q), np.ones(A.shape[0]))
     assert solver.ok
     specs = [spec for spec, *_ in splu_calls]
     assert specs[0] == "MMD_AT_PLUS_A" and len(specs) >= 2  # at least one ridge retry
