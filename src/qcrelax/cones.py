@@ -374,14 +374,20 @@ class ColumnPattern:
     of W[l, k] among the scaling's flattened blocks.  For each PSD side
     group, `_psd` holds the stack M of (row, block) matrices smat(row of A
     restricted to the block) and the block of each.
+
+    `pairs` lists, for each group in that order, the rows and cones of its
+    (row, cone) pairs and the length L of a cone's columns: each pair's L
+    values are consecutive, the pairs sorted by row, then cone.
     """
 
     def __init__(self, layout: ConeLayout, A: sp.spmatrix):
         A = sp.coo_matrix(A)
         rows, cols, dst, avals, src = ([np.zeros(0, dtype=int)] for _ in range(5))
+        self.pairs = []
         n = w0 = 0  # entries and W values so far
         for d, take in layout._soc_take.items():
             r, cone, which, pos, a = _touching(A, take)
+            self.pairs.append((r, cone, d))
             rows.append(np.repeat(r, d))
             cols.append(take[cone].ravel())
             k = np.arange(d)
@@ -395,6 +401,7 @@ class ColumnPattern:
         self._psd = []
         for side, take in layout._psd_take.items():
             r, cone, which, pos, a = _touching(A, take)
+            self.pairs.append((r, cone, take.shape[1]))
             vec = np.zeros((r.size, take.shape[1]))
             np.add.at(vec, (which, pos), a)
             rows.append(np.repeat(r, take.shape[1]))

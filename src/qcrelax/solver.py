@@ -7,28 +7,37 @@ step.  K may mix NonNeg, SecondOrder and Psd blocks; Zero blocks (which
 only the (D) lowering produces) are treated as free coordinates whose
 dual slack is pinned at zero.
 
-Each Newton system is solved through a sparse LU of the scaled
-augmented KKT system  K = [[D, B'], [B, 0]]  with B = A W, where W is
-the NT scaling on cone columns and the identity on free ones, and D is
-1 on cone columns and 0 on free ones (see _KktSolver).  The solve has
-iterative refinement, and a small diagonal ridge only when a
-factorization fails (for example on rank-deficient rows such as
-redundant pinning constraints).  A factorization fails when SuperLU or the
-dense LU raises, or when the first real solve with it, the (-c, b) system
-of each step, is not finite or grows so much that K must be singular to
-working precision; no separate probe solve is made.  The KKT system's
-sparsity pattern and the index maps into it are built once per solve (see
-_KktPattern); each iteration only computes values.  Constraint rows that
-are dense against the others (the
-quadratic constraints of S-SOCP in the (P) form) are kept out of the
-sparse LU and enter through a small dense Schur complement: each
-iteration assembles the sparse part K_s and the dense rows' columns E
-directly, and the whole KKT matrix is never built.  The fill-reducing
-ordering of the sparse factors follows from the KKT structure, with no
-trial factorization, and is decided by the pattern: symmetric minimum
-degree, computed by the first factorization, after which K_s is laid out
-in that order, or COLAMD on every factorization for PSD blocks with no
-free column (see _KktPattern).
+Each Newton system is the scaled augmented KKT system
+K = [[D, B'], [B, 0]]  with B = A W, where W is the NT scaling on cone
+columns and the identity on free ones, and D is 1 on cone columns and 0
+on free ones (see _KktSolver).  The solve has iterative refinement
+against K, and a small diagonal ridge only when a factorization fails
+(for example on rank-deficient rows such as redundant pinning
+constraints).  A factorization fails when SuperLU or the dense LU raises,
+or when the first real solve with it, the (-c, b) system of each step, is
+not finite or grows so much that K must be singular to working precision;
+no separate probe solve is made.  The system's sparsity pattern and the
+index maps into it are built once per solve (see _KktPattern); each
+iteration only computes values.
+
+A layout with PSD blocks and no free column (F-SDP and S-SDP in the (P)
+form) is solved through the normal equations M = B B', the Schur
+complement of K's identity block, whose pattern follows the cone blocks
+that rows share: each iteration forms M from B's values by dense
+per-block products and factors it alone.  When the first solve of an
+iteration leaves the constraint rows off, as M's conditioning, the square
+of B's, allows near a degenerate optimum, the solve factors K itself from
+then on, in SuperLU's COLAMD order.  Every other layout factors K:
+constraint rows that are dense against the others (the quadratic
+constraints of S-SOCP in the (P) form) are kept out of the sparse LU and
+enter through a small dense Schur complement, so each iteration assembles
+the sparse part K_s and the dense rows' columns E directly, and the whole
+KKT matrix is never built.  The
+fill-reducing ordering of every sparse factor, of M or K_s, follows from
+the structure with no trial factorization: symmetric minimum degree,
+computed by the first factorization, after which the matrix is laid out
+in that order (see _KktPattern); only K after the switch from M takes
+COLAMD.
 """
 
 from __future__ import annotations
@@ -73,15 +82,15 @@ SINGULAR = 1e-2 / np.finfo(float).eps
 #: KKT factors hold 8-15 entries per column, so the dense-block work costs more than
 #: it saves.  On mid-solve factors (one BLAS thread, best of 30) F-SOCP (P) at n_L = 6
 #: went from 2.37 to 1.76 ms per factorization and from 0.23 to 0.15 ms per solve,
-#: S-SOCP (P) at n_L = 24 from 1.79 to 1.26 ms and 0.35 to 0.21 ms; F-SDP and S-SDP
-#: (P) at n_L = 8, ordered by COLAMD, stayed within noise
+#: S-SOCP (P) at n_L = 24 from 1.79 to 1.26 ms and 0.35 to 0.21 ms
 _UNRELAXED = dict(relax=1, panel_size=1)
 
-#: SuperLU settings for a symmetric ordering: _UNRELAXED's supernodes, and prefer
-#: diagonal pivots.  The threshold is small, as SuperLU's symmetric mode intends: at
-#: 0.01, off-diagonal pivots on the zero (2,2) block let the later factors of S-SOCP
-#: (P) at n_L = 24 grow to 10 times the fill of the first factorization (1.9 times at
-#: 1e-3), and below 1e-3 F-SOCP (P) solves fail
+#: SuperLU settings for every factorization, of K_s or M, in a symmetric ordering:
+#: _UNRELAXED's supernodes, and prefer diagonal pivots.  The threshold is small, as
+#: SuperLU's symmetric mode intends: at 0.01, off-diagonal pivots on the zero (2,2)
+#: block let the later factors of S-SOCP (P) at n_L = 24 grow to 10 times the fill
+#: of the first factorization (1.9 times at 1e-3), and below 1e-3 F-SOCP (P) solves
+#: fail
 _SYMMETRIC = dict(_UNRELAXED, diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
 
 
@@ -133,27 +142,43 @@ def _residuals(A, b, c, x, y, s) -> tuple:
 
 
 def _drop_duplicate_rows(A: sp.csr_matrix, b: np.ndarray):
-    """Remove exact duplicates of [A | b] rows; returns (A, b, kept_indices)."""
-    seen = {}
-    keep = []
-    for r in range(A.shape[0]):
-        lo, hi = A.indptr[r], A.indptr[r + 1]
-        key = (A.indices[lo:hi].tobytes(), A.data[lo:hi].tobytes(), float(b[r]))
-        if key in seen:
-            continue
-        seen[key] = r
-        keep.append(r)
-    if len(keep) == A.shape[0]:
+    """Remove exact duplicates of [A | b] rows; returns (A, b, kept_indices).
+
+    Two rows are duplicates if they store the same column indices and the
+    same value bits in the same order, and their b values are equal (so 0.0
+    equals -0.0, and a NaN equals nothing).  The first of each set of
+    duplicates is kept, in row order.  Rows are compared in one np.unique
+    per row length that more than one row has, on the bytes of the rows'
+    indices, value bits and b.
+    """
+    p = A.shape[0]
+    lengths = np.diff(A.indptr)
+    first = np.arange(p)  # the first row equal to each row
+    # adding 0.0 turns -0.0 into 0.0, so that equal b values have equal bits
+    bkey = (np.asarray(b, dtype=float) + 0.0).view(np.int64)
+    sizes = np.bincount(lengths)
+    for n in np.flatnonzero(sizes > 1):
+        rows = np.flatnonzero(lengths == n)
+        at = A.indptr[rows][:, None] + np.arange(n)
+        key = np.column_stack([
+            A.indices[at].astype(np.int64),
+            A.data[at].astype(float, copy=False).view(np.int64),
+            bkey[rows],
+        ])
+        # each row as one opaque value, compared as bytes
+        key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, idx, inv = np.unique(key, return_index=True, return_inverse=True)
+        first[rows] = rows[idx[inv]]
+    first[np.isnan(b)] = np.flatnonzero(np.isnan(b))
+    keep = np.flatnonzero(first == np.arange(p))
+    if keep.size == p:
         return A, b, None
-    warnings.warn(
-        f"dropped {A.shape[0] - len(keep)} duplicate constraint rows", stacklevel=3
-    )
-    keep = np.asarray(keep, dtype=int)
+    warnings.warn(f"dropped {p - keep.size} duplicate constraint rows", stacklevel=3)
     return A[keep], b[keep], keep
 
 
 class _KktPattern:
-    """The augmented KKT system's sparsity pattern, built once per solve, and its factor ordering.
+    """The Newton system's sparsity pattern, built once per solve, and its factor ordering.
 
     The Newton subsystem  Hinv u - A' v = g (cone rows), -A_F' v = g_F,
     A u = h  is solved through the symmetric indefinite form
@@ -195,21 +220,27 @@ class _KktPattern:
     forms Z = K_s^-1 E by one multi-column solve and a dense LU of the
     Schur complement S = ridge I - E' Z, so that each solve is a block
     elimination.  It orders K_s's factors from the KKT structure, with no
-    trial factorization: by symmetric minimum degree on K_s + K_s' with
-    diagonal pivots preferred, or by SuperLU's COLAMD for PSD blocks with
-    no free column (F-SDP and S-SDP in the (P) form), where MMD costs more
-    than it saves.  At n_L = 8 and W = I (one BLAS thread), its ordering step alone
-    takes about 87 ms on F-SDP against 9 ms for a whole COLAMD
-    factorization, and on S-SDP its factors hold 1.38M entries against
-    COLAMD's 1.17M.  Elsewhere the symmetric order wins, since COLAMD
-    orders for the pattern of K'K and leaves the row pivots free: at W = I,
-    MMD's factors hold 36k entries against 968k on F-SOCP (P) at n_L = 6,
-    49k against 416k on S-SOCP (D) at n_L = 16, and 22k against 43k on the
-    sparse part of S-SOCP (P) at n_L = 16.  Computing the MMD order costs
-    more than a numeric factorization, so only the first factorization
-    computes it, and its factor is used; K_s is then laid out again in that
-    order, so every later `assemble` gives P K_s P' and SuperLU factors it
-    in its natural order.
+    trial factorization, by symmetric minimum degree on K_s + K_s' with
+    diagonal pivots preferred.  COLAMD orders for the pattern of K'K and
+    leaves the row pivots free: at W = I, MMD's factors hold 36k entries
+    against COLAMD's 968k on F-SOCP (P) at n_L = 6, 49k against 416k on
+    S-SOCP (D) at n_L = 16, and 22k against 43k on the sparse part of
+    S-SOCP (P) at n_L = 16.  Computing the MMD order costs more than a
+    numeric factorization, so only the first factorization computes it, and
+    its factor is used; K_s is then laid out again in that order, so every
+    later `assemble` gives P K_s P' and SuperLU factors it in its natural
+    order.
+
+    PSD blocks with no free column (F-SDP and S-SDP in the (P) form) take
+    the normal equations instead (`normal`).  D is then the identity, so
+    eliminating it from K leaves M = B B', and M_rs can be nonzero only
+    where rows r and s touch a common cone; that pattern is fixed for the
+    solve and far smaller than K's: on S-SDP at n_L = 12, M is 2308² with
+    405k entries and an MMD factor of 0.47M, where K's COLAMD factor held
+    5.3M.  `assemble` then gives (M, B, eq) (see _normal_system), with no
+    K built and no sparse product, and `factor` factors M alone, in an MMD
+    order cached as K_s's is.  `leave_normal` switches to K's pattern, in
+    COLAMD's order, for the rest of the solve.
     """
 
     def __init__(self, A, layout: ConeLayout):
@@ -218,12 +249,22 @@ class _KktPattern:
         # one transpose per solve: each A.T builds a new CSC matrix object
         self.A, self.AT, self.free_idx = A, A.T, free
         self.p, self.q = p, q
-        self.n = n = p + q
+        self.n = p + q
         # the SuperLU ordering of the next factorization; MMD becomes NATURAL once decided
-        self.permc_spec = "MMD_AT_PLUS_A" if free.size or not layout.psd_groups else "COLAMD"
+        self.permc_spec = "MMD_AT_PLUS_A"
         self.columns = ColumnPattern(layout, A)
+        # PSD blocks and no free column: F-SDP and S-SDP in the (P) form
+        self.normal = bool(layout.psd_groups) and not free.size
+        if self.normal:
+            self._normal_pattern()
+        else:
+            self._augmented_pattern()
+
+    def _augmented_pattern(self):
+        """K_s's pattern, the dense rows and E's scatter map."""
+        q, n, free = self.q, self.n, self.free_idx
         br, bc = self.columns.rows, self.columns.cols
-        af = sp.coo_matrix(A[:, free])
+        af = sp.coo_matrix(self.A[:, free])
         af.sum_duplicates()
         fc = free[af.col]
         # values: [1 (D on the cone columns), A_F, B]; each block of B and A_F appears twice
@@ -247,6 +288,57 @@ class _KktPattern:
         e = is_dense[cols] & ~is_dense[rows]
         self._e_src = src[e]
         self._e_at = at[cols[e]] * self.sparse.size + at[rows[e]]
+
+    def _normal_pattern(self):
+        """M's pattern, the per-block products that give its values, and B's CSR pattern.
+
+        M_rs is stored where rows r and s touch a common cone, and on the
+        whole diagonal, for the ridge.  The cones of each group are bucketed
+        by the number t of rows that touch them: a bucket's B values form a
+        (k, t, L) stack V, gathered by its (k, t) pair indices, and the
+        entries of V V' add into M's entries through `_g_entry`.
+        """
+        p = self.p
+        # M's rows, in M's order, by KKT position; no row is dense
+        self.sparse, self.dense = self.q + np.arange(p), np.empty(0, dtype=int)
+        self._e_at = np.empty(0, dtype=int)
+        ii, jj, self._blocks = [np.arange(p)], [np.arange(p)], []
+        off = 0  # B's values so far
+        for r, cone, L in self.columns.pairs:
+            counts = np.bincount(cone)
+            by_cone = np.argsort(cone, kind="stable")  # rows ascending within a cone
+            first = np.cumsum(counts) - counts
+            for t in np.unique(counts[counts > 0]):
+                pairs = by_cone[first[counts == t][:, None] + np.arange(t)]
+                rows = r[pairs]
+                ii.append(np.repeat(rows, t, axis=1).ravel())
+                jj.append(np.tile(rows, t).ravel())
+                self._blocks.append((off, r.size, L, pairs))
+            off += r.size * L
+        key, self._g_entry = np.unique(
+            np.concatenate(ii).astype(np.int64) * p + np.concatenate(jj), return_inverse=True
+        )
+        self._m_diag, self._g_entry = self._g_entry[:p], self._g_entry[p:]
+        i, j = np.divmod(key, p)
+        self._set_pattern(i, j, np.arange(key.size))
+        br, bc = self.columns.rows, self.columns.cols
+        self._b_src = np.lexsort((bc, br))
+        self._b_row = br[self._b_src]
+        self._b_indices = bc[self._b_src].astype(np.intc)
+        counts = np.bincount(br, minlength=p)
+        self._b_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intc)
+
+    def leave_normal(self):
+        """Factor the augmented K from the next factorization on, in SuperLU's COLAMD order.
+
+        On these PSD (P) systems MMD costs more than it saves: on S-SDP at
+        n_L = 12 (seeds 1 and 2, one BLAS thread) the four factorizations of
+        K after the switch took 4.2 and 7.2 s in MMD order against 1.7 and
+        1.8 s with COLAMD, whose whole solves took 3.7 and 3.8 s.
+        """
+        self.normal = False
+        self.permc_spec = "COLAMD"
+        self._augmented_pattern()
 
     def _dense_rows(self, counts):
         """KKT positions of the constraint rows split off from the sparse factorization.
@@ -276,7 +368,7 @@ class _KktPattern:
         self._nonempty = np.flatnonzero(counts)
 
     def _move(self, at):
-        """Lay K_s out again as P K_s P', its row and column i at position at[i]; E's rows follow."""
+        """Lay K_s (or M) out again as P K_s P', row and column i at at[i]; E's rows follow."""
         sparse = np.empty_like(self.sparse)
         sparse[at] = self.sparse
         self.sparse = sparse
@@ -285,8 +377,14 @@ class _KktPattern:
         self._e_at += at[row] - row
 
     def assemble(self, scaling):
-        """(K_s, E, eq): the equilibrated KKT system at `scaling`, and eq by KKT position."""
-        vals = np.concatenate([self._const, scaling.scale_columns(self.columns)])
+        """(K_s, E, eq): the equilibrated KKT system at `scaling`, and eq by KKT position.
+
+        With the normal equations it is (M, B, eq) instead (see _normal_system).
+        """
+        vals = scaling.scale_columns(self.columns)
+        if self.normal:
+            return self._normal_system(vals)
+        vals = np.concatenate([self._const, vals])
         data = vals[self._src]
         et = np.zeros(self.dense.size * self.sparse.size)
         et[self._e_at] = vals[self._e_src]
@@ -304,28 +402,59 @@ class _KktPattern:
         ks = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.sparse.size,) * 2)
         return ks, et.T, eq
 
+    def _normal_system(self, vals):
+        """(M, B, eq) from B's values: M = B B' by per-block products, both equilibrated.
+
+        eq is 1 on the cone columns and 1 / ||B_r|| on row r, so that the
+        equilibrated K has rows of unit norm in B, entries of at most 1, and
+        M = B B' of it a unit diagonal.  M is laid out as `sparse` gives its
+        rows; B keeps the rows in their order.
+        """
+        g = [np.zeros(0)]
+        for off, size, L, pairs in self._blocks:
+            V = vals[off : off + size * L].reshape(size, L)[pairs]
+            g.append((V @ np.swapaxes(V, 1, 2)).ravel())
+        m = np.bincount(self._g_entry, np.concatenate(g), minlength=self._src.size)
+        eq = np.ones(self.n)
+        eq[self.q :] = 1.0 / np.sqrt(np.maximum(m[self._m_diag], 1e-24))
+        eq_m = eq[self.sparse]
+        data = m[self._src] * eq_m[self._row] * eq_m[self._col]
+        mat = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.p,) * 2)
+        b_data = vals[self._b_src] * eq[self.q + self._b_row]
+        b = sp.csr_matrix((b_data, self._b_indices, self._b_indptr), shape=(self.p, self.q))
+        return mat, b, eq
+
     def factor(self, ks, e, ridge):
-        """Factor K + ridge I from (K_s, E), laid out as `assemble` gives them now.
+        """Factor K + ridge I from (K_s, E), or (M, B), laid out as `assemble` gives them now.
 
         Returns a function that solves with the factors.  The factors are
         not checked here: `_KktSolver` reads the first real solve with them
-        as their guard.  The first MMD factorization lays K_s out again in its
-        order; the returned solve keeps the layout that ks and e were
-        assembled in.  Every factorization keeps SuperLU's supernodes
-        unrelaxed (see _UNRELAXED).
+        as their guard.  The first factorization computes the MMD order and
+        lays K_s, or M, out again in it; the returned solve keeps the layout
+        that the system was assembled in.  Every factorization keeps
+        SuperLU's supernodes unrelaxed (see _UNRELAXED).
+
+        With the normal equations, K + ridge I = [[(1 + r) I, B'], [B, r I]]
+        for r = ridge, and its Schur complement M - r (1 + r) I is factored
+        (see _normal_solve).
         """
         sparse = self.sparse
-        if ridge:
+        if self.normal and ridge:
+            ks = ks - ridge * (1.0 + ridge) * sp.eye(ks.shape[0], format="csc")
+        elif ridge:
             ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
         if self.permc_spec == "COLAMD":
             lu = spla.splu(ks, **_UNRELAXED)
         else:
             lu = spla.splu(ks, permc_spec=self.permc_spec, **_SYMMETRIC)
-            if self.permc_spec == "MMD_AT_PLUS_A":
-                # SuperLU factored K_s[o][:, o], o = argsort(perm_c); perm_c is
-                # int32, cast so that the relaid `_row` stays intp
-                self._move(lu.perm_c.astype(np.intp))
-                self.permc_spec = "NATURAL"
+        if self.permc_spec == "MMD_AT_PLUS_A":
+            # SuperLU factored K_s[o][:, o], o = argsort(perm_c); perm_c is
+            # int32, cast so that the relaid `_row` stays intp
+            self._move(lu.perm_c.astype(np.intp))
+            self.permc_spec = "NATURAL"
+        if self.normal:
+            # one transpose per factor: each e.T builds a new matrix object
+            return partial(_normal_solve, lu, e, e.T, ridge, sparse - self.q)
         if not e.shape[1]:
             return partial(_sparse_solve, lu, sparse)
         z = lu.solve(e)
@@ -334,6 +463,20 @@ class _KktPattern:
         if info != 0:
             raise RuntimeError("Schur complement of the dense rows is singular")
         return partial(_block_solve, lu, e, z, (schur_lu, piv), sparse, self.dense)
+
+
+def _normal_solve(lu, b, bt, ridge, rows, r):
+    """x of [[(1 + ridge) I, B'], [B, ridge I]] x = r through the factored Schur complement
+    S: t = B r_1 - (1 + ridge) r_2, x_2 = S^-1 t, x_1 = (r_1 - B' x_2) / (1 + ridge).
+
+    S is laid out as rows[k] gives its row k.
+    """
+    q = b.shape[1]
+    t = b @ r[:q] - (1.0 + ridge) * r[q:]
+    x = np.empty_like(r)
+    x[q + rows] = lu.solve(t[rows])
+    x[:q] = (r[:q] - bt @ x[q:]) / (1.0 + ridge)
+    return x
 
 
 def _sparse_solve(lu, sparse, r):
@@ -354,14 +497,18 @@ def _block_solve(lu, e, z, schur_lu, sparse, dense, r):
 
 
 class _KktSolver:
-    """Factorization of the scaled augmented system for one NT scaling.
+    """Factorization of the scaled Newton system for one NT scaling.
 
     The system is the one of _KktPattern, K = [[D, B'], [B, 0]] with
     B = A W and D = 1 on cone columns, 0 on free ones.  Working with B
     instead of the normal equations B B' keeps the condition number from
-    being squared, which is what limits accuracy near convergence.  The
+    being squared, which is what limits accuracy near convergence; the
+    PSD (P) layouts, whose K is far larger than B B', take the normal
+    equations until the first solve of an iteration leaves the constraint
+    rows A u = h off by more than solve2's target, and K itself from that
+    iteration on (see _KktPattern).  The
     (2,2) block is zero, so the system is not quasi-definite: SuperLU
-    factors it with partial pivoting, in the column order that the pattern
+    factors it with threshold pivoting, in the column order that the pattern
     decides.  `_KktPattern.assemble` gives (K_s, E, eq), and
     `_KktPattern.factor` returns `lu_solve`: block elimination with a dense
     LU of S = -E' Z, Z = K_s^-1 E, with dense rows, and the sparse solve
@@ -375,8 +522,11 @@ class _KktSolver:
     first at every iteration).  That first real solve is the factor's
     guard, so no probe solve is made.  A factorization fails if SuperLU
     or the Schur complement's LU raises, or if the unrefined solution of
-    the first system, in equilibrated units, is not finite or exceeds its
-    right-hand side SINGULAR times.
+    the first system, in equilibrated units (Q K Q x = Q r with
+    Q = diag(eq), so that Q K Q has entries of at most 1), is not finite
+    or exceeds its right-hand side SINGULAR times.  The refinement of
+    `solve2` works in the caller's units, on the residuals of the unscaled
+    system through A and W, against a target of 1e-11 (1 + |g| + |h|).
     """
 
     def __init__(self, pattern: _KktPattern, scaling, g, h):
@@ -390,6 +540,10 @@ class _KktSolver:
             try:
                 self.lu_solve = pattern.factor(ks, e, ridge)
                 self.first = self.solve2(g, h)
+                if self.bounded and pattern.normal and not self.rows_met:
+                    # M has lost the constraint rows: K itself from this iteration on
+                    pattern.leave_normal()
+                    continue
                 if self.bounded:
                     self.ok = True
                     return
@@ -416,7 +570,8 @@ class _KktSolver:
 
         Hinv is zero on free coordinates, so the refinement's residual in g
         is one formula for both kinds of rows.  `bounded` records whether
-        the unrefined solve passed the guard.
+        the unrefined solve passed the guard, and `rows_met` whether the
+        refined solve meets the target in the constraint rows A u = h.
         """
         A, AT, sc = self.pattern.A, self.pattern.AT, self.scaling
         u, v, self.bounded = self._raw_solve(g, h)
@@ -432,6 +587,7 @@ class _KktSolver:
             du, dv, _ = self._raw_solve(r_g, r_h)
             u = u + du
             v = v + dv
+        self.rows_met = np.linalg.norm(r_h) <= target
         return u, v
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ import scipy.sparse.linalg as spla
 from qcrelax import solver as solver_mod
 from qcrelax.build import (
     build_dual_fsocp, build_dual_ssocp, build_fsdp, build_fsocp, build_ssdp, build_ssocp,
+    extract_entries,
 )
 from qcrelax.chordal import chordal_parts
+from qcrelax.completion import PartialMatrix, is_psd_completable
 from qcrelax.cones import ConeLayout
 from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
-from qcrelax.program import ConeBlock, StandardForm, to_standard_form
+from qcrelax.program import ConeBlock, StandardForm, to_standard_form, variable_values
 from qcrelax.solver import (
     Solution, SolverConfig, _KktPattern, _KktSolver, residuals, solve,
 )
@@ -242,11 +245,15 @@ class _SpyPattern(_KktPattern):
 
 
 class _ColamdPattern(_SpyPattern):
-    """A pattern whose structural rule always picks COLAMD."""
+    """A pattern whose factorizations take SuperLU's COLAMD order every time."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.permc_spec = "COLAMD"
+    def factor(self, ks, e, ridge):
+        self.calls += 1
+        assert not e.shape[1]  # no dense rows
+        if ridge:
+            ks = ks + ridge * sp.eye(ks.shape[0], format="csc")
+        lu = solver_mod.spla.splu(ks, relax=1, panel_size=1)
+        return partial(solver_mod._sparse_solve, lu, self.sparse)
 
 
 @pytest.fixture
@@ -277,7 +284,7 @@ def test_fsocp_takes_cached_mmd_ordering(spy, splu_calls, monkeypatch):
     splu_calls.clear()
     monkeypatch.setattr(solver_mod, "_KktPattern", _ColamdPattern)
     ref = solve(sf)
-    assert spy[1].permc_spec == "COLAMD"
+    assert spy[1].calls == ref.iterations
     assert [spec for spec, *_ in splu_calls] == ["COLAMD"] * ref.iterations
     assert ref.status == "Optimal"
     assert sol.iterations == ref.iterations
@@ -328,40 +335,57 @@ def test_kkt_pattern_is_fixed_for_a_solve(splu_calls, builder, form):
     assert len({(dim, nnz) for _, dim, nnz, _ in splu_calls}) == 1
 
 
-#: (builder, n_L, form, whether the solve takes the MMD order); PSD blocks with
-#: no free column, F-SDP and S-SDP in the (P) form, keep COLAMD
+#: (builder, n_L, form, whether the solve starts on the normal equations); PSD
+#: blocks with no free column, F-SDP and S-SDP in the (P) form, do
 STRUCTURES = [
-    pytest.param(build_ssocp, 4, "P", True, id="ssocp-4-P"),
-    pytest.param(build_ssocp, 4, "D", True, id="ssocp-4-D"),
-    pytest.param(build_fsdp, 4, "D", True, id="fsdp-4-D"),
-    pytest.param(build_fsdp, 4, "P", False, id="fsdp-4-P"),
-    pytest.param(build_ssdp, 5, "P", False, id="ssdp-5-P"),
+    pytest.param(build_ssocp, 4, "P", False, id="ssocp-4-P"),
+    pytest.param(build_ssocp, 4, "D", False, id="ssocp-4-D"),
+    pytest.param(build_fsdp, 4, "D", False, id="fsdp-4-D"),
+    pytest.param(build_fsdp, 4, "P", True, id="fsdp-4-P"),
+    pytest.param(build_ssdp, 5, "P", True, id="ssdp-5-P"),
 ]
 
 
-@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
-def test_ordering_follows_the_kkt_structure(spy, splu_calls, builder, nl, form, mmd):
+@pytest.mark.parametrize("builder,nl,form,normal", STRUCTURES)
+def test_ordering_follows_the_kkt_structure(spy, splu_calls, builder, nl, form, normal):
     sol = solve(_lattice_sf(builder, nl, form=form))
     (pattern,) = spy
     assert sol.status == "Optimal"
     specs = [spec for spec, *_ in splu_calls]
-    if mmd:
-        assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
-        assert pattern.permc_spec == "NATURAL"
+    dims = [dim for _, dim, *_ in splu_calls]
+    # M's factorizations come first, then K's
+    on_m = dims.count(pattern.p) if normal else 0
+    assert dims[:on_m] == [pattern.p] * on_m
+    assert set(dims[on_m:]) <= {pattern.sparse.size}
+    # the first factorization computes the MMD order, the later ones reuse it
+    mmd = specs[:on_m] if normal else specs
+    assert mmd[0] == "MMD_AT_PLUS_A" and set(mmd[1:]) <= {"NATURAL"}
+    if normal:
+        # one factorization of M per iteration; an iteration whose first solve
+        # misses the constraint rows factors K too, and so do the ones after it,
+        # in COLAMD's order
+        switched = on_m < len(dims)
+        assert specs[on_m:] == ["COLAMD"] * (len(dims) - on_m)
+        assert pattern.normal != switched
+        assert pattern.permc_spec == ("COLAMD" if switched else "NATURAL")
+        assert len(dims) == sol.iterations + switched
+        assert on_m >= sol.iterations - 3
+        if builder is build_fsdp:
+            assert not switched  # no augmented factorization
     else:
-        assert specs == ["COLAMD"] * sol.iterations
-        assert pattern.permc_spec == "COLAMD"
-        assert np.array_equal(pattern.sparse, np.arange(pattern.n))
+        assert not pattern.normal and pattern.permc_spec == "NATURAL"
 
 
-@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
-def test_no_factor_is_discarded(spy, splu_calls, builder, nl, form, mmd):
+@pytest.mark.parametrize("builder,nl,form,normal", STRUCTURES)
+def test_no_factor_is_discarded(spy, splu_calls, builder, nl, form, normal):
     sol = solve(_lattice_sf(builder, nl, form=form))
     (pattern,) = spy
     assert sol.status == "Optimal"
-    # no ridge retry: one factorization per iteration, each one SuperLU call
-    assert pattern.calls == sol.iterations
-    assert len(splu_calls) == sol.iterations
+    # no ridge retry: one factorization per iteration, each one SuperLU call, but
+    # for the factor of M discarded where the normal equations give way to K
+    switched = normal and not pattern.normal
+    assert pattern.calls == sol.iterations + switched
+    assert len(splu_calls) == sol.iterations + switched
 
 
 def _decided(sf, scaling):
@@ -410,19 +434,21 @@ def test_ridge_is_added_after_the_permutation():
     np.testing.assert_allclose((kkt + 0.5 * sp.eye(pattern.n)) @ x, r, atol=1e-10)
 
 
-@pytest.mark.parametrize("builder,nl,form,mmd", STRUCTURES)
-def test_every_factorization_keeps_supernodes_unrelaxed(monkeypatch, builder, nl, form, mmd):
+@pytest.mark.parametrize("builder,nl,form,normal", STRUCTURES)
+def test_every_factorization_keeps_supernodes_unrelaxed(monkeypatch, spy, builder, nl, form, normal):
     options = []
     splu = solver_mod.spla.splu
 
-    def spy(mat, **kwargs):
+    def record(mat, **kwargs):
         options.append((kwargs.get("relax"), kwargs.get("panel_size")))
         return splu(mat, **kwargs)
 
-    monkeypatch.setattr(solver_mod.spla, "splu", spy)
+    monkeypatch.setattr(solver_mod.spla, "splu", record)
     sol = solve(_lattice_sf(builder, nl, form=form))
+    (pattern,) = spy
     assert sol.status == "Optimal"
-    assert options == [(1, 1)] * sol.iterations
+    # one more where the normal equations give way to K
+    assert options == [(1, 1)] * (sol.iterations + (normal and not pattern.normal))
 
 
 @pytest.mark.parametrize(
@@ -566,7 +592,12 @@ def test_free_columns_join_the_first_block(builder, nl):
 def test_other_relaxations_factor_the_whole_system(builder, form, nl):
     pattern = _kkt_pattern(_lattice_sf(builder, nl, form=form))
     assert pattern.dense.size == 0
-    assert pattern.sparse.size == pattern.n
+    if builder in (build_fsdp, build_ssdp):
+        # the normal equations: M's rows are all constraint rows
+        assert pattern.normal
+        np.testing.assert_array_equal(pattern.sparse, pattern.q + np.arange(pattern.p))
+    else:
+        assert pattern.sparse.size == pattern.n
 
 
 def _ssocp_scaling(layout, interior):
@@ -647,3 +678,118 @@ def test_singular_schur_complement_takes_the_ridge_retry(splu_calls):
     g, h = rng.standard_normal(q), A @ rng.uniform(0.5, 2.0, q)
     u, v = solver.solve2(g, h)
     np.testing.assert_allclose(A @ u, h, atol=1e-6)
+
+
+# -- normal equations ----------------------------------------------------------------
+
+
+def _mid_solve_scaling(sf, iterations=4):
+    """The NT scaling at the iterate that `iterations` steps of the solver reach."""
+    sol = solve(sf, SolverConfig(max_iterations=iterations))
+    assert sol.status == "IterationLimit"
+    return ConeLayout(sf.K).scaling(sol.x, sol.s)
+
+
+@pytest.mark.parametrize("ridge", [0.0, solver_mod.RIDGE])
+@pytest.mark.parametrize("builder,nl", [(build_fsdp, 4), (build_ssdp, 5)], ids=["fsdp-4", "ssdp-5"])
+def test_normal_equations_solve_the_augmented_system(builder, nl, ridge):
+    sf = _lattice_sf(builder, nl)
+    sc = _mid_solve_scaling(sf)
+    pattern = _kkt_pattern(sf)
+    assert pattern.normal
+    p, q = pattern.p, pattern.q
+    # the equilibrated augmented K = [[I, B'], [B, 0]], from B's values alone
+    B = np.zeros((p, q))
+    B[pattern.columns.rows, pattern.columns.cols] = sc.scale_columns(pattern.columns)
+    r = np.random.default_rng(6).standard_normal(pattern.n)
+    for _ in range(2):  # the decision, then in the decided layout
+        m, b, eq = pattern.assemble(sc)
+        np.testing.assert_allclose(b.toarray(), eq[q:, None] * B, rtol=1e-15)
+        assert np.all(eq[:q] == 1.0)
+        kkt = np.block([[np.eye(q), b.toarray().T], [b.toarray(), np.zeros((p, p))]])
+        want = np.linalg.solve(kkt + ridge * np.eye(pattern.n), r)
+        got = pattern.factor(m, b, ridge)(r)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert pattern.permc_spec == "NATURAL"
+
+
+def test_normal_equations_are_b_b_transpose():
+    sf = _lattice_sf(build_ssdp, 5)
+    sc = _mid_solve_scaling(sf)
+    pattern = _kkt_pattern(sf)
+    m, b, _ = pattern.assemble(sc)
+    np.testing.assert_allclose(m.toarray(), (b @ b.T).toarray(), rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(m.diagonal(), 1.0, rtol=1e-14)
+    # M is stored only where two rows touch a common cone, and on the diagonal
+    touch = sp.csr_matrix((np.ones(pattern.columns.rows.size),
+                           (pattern.columns.rows, pattern.columns.cols)), shape=b.shape)
+    shared = ((touch @ touch.T) + sp.eye(pattern.p)).tocsc()
+    shared.sort_indices()
+    np.testing.assert_array_equal(m.indptr, shared.indptr)
+    np.testing.assert_array_equal(m.indices, shared.indices)
+
+
+@pytest.mark.parametrize("form", ["P", "D"])
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_only_psd_primal_forms_take_the_normal_equations(monkeypatch, builder, form):
+    sf = _lattice_sf(builder, 3, form=form)
+    normal = builder in (build_fsdp, build_ssdp) and form == "P"
+    assert _kkt_pattern(sf).normal == normal
+    if not normal:
+        # an SOCP solve, or a (D) form, never computes M
+        def fail(self, vals):
+            raise AssertionError("normal equations taken")
+
+        monkeypatch.setattr(_KktPattern, "_normal_system", fail)
+    assert solve(sf).status == "Optimal"
+
+
+def _drop_duplicate_rows_loop(A, b):
+    """The row-by-row reference of _drop_duplicate_rows, without its warning."""
+    seen, keep = set(), []
+    for r in range(A.shape[0]):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        key = (A.indices[lo:hi].tobytes(), A.data[lo:hi].tobytes(), float(b[r]))
+        if key not in seen:
+            seen.add(key)
+            keep.append(r)
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_duplicate_rows_match_the_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    base = sp.random(30, 12, density=0.25, random_state=seed, format="csr")
+    base.data = np.round(base.data * 4)  # few distinct values, so rows collide
+    A0 = sp.vstack([base, base[:10], base[5:15], sp.csr_matrix((3, 12))]).tocsr()
+    b0 = np.round(rng.uniform(-1, 1, A0.shape[0]))
+    b0[30:35] += 1.0  # equal in A to rows 0-4, not in b
+    b0[rng.choice(A0.shape[0], 3)] = np.nan
+    b0[rng.choice(A0.shape[0], 3)] = -0.0
+    order = rng.permutation(A0.shape[0])
+    A, b = A0[order], b0[order]
+    want = _drop_duplicate_rows_loop(A, b)
+    assert 0 < len(want) < A.shape[0]
+    with pytest.warns(UserWarning, match=f"dropped {A.shape[0] - len(want)} duplicate"):
+        A2, b2, kept = solver_mod._drop_duplicate_rows(A, b)
+    np.testing.assert_array_equal(kept, want)
+    assert (A2 != A[want]).nnz == 0
+    np.testing.assert_array_equal(b2, b[want])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver_mod._drop_duplicate_rows(A2, b2)[2] is None
+
+
+@pytest.mark.parametrize("nl,seed", [(3, 2), (4, 0)])
+def test_ssdp_solution_keeps_its_clique_blocks_psd(nl, seed):
+    # near a degenerate optimum M loses the constraint rows, among them the ones
+    # that make overlapping clique blocks agree; the switch to K keeps them exact
+    data = homogenize(gen_lattice(LatticeSpec(nl, 20, seed)))
+    ext, cs, overlaps = chordal_parts(aggregate_pattern(data))
+    prog = build_ssdp(data, ext, cs, overlaps)
+    sf = to_standard_form(prog, "P")
+    sol = solve(sf)
+    assert sol.status == "Optimal"
+    entries = extract_entries(prog, variable_values(sf, sol))
+    partial_matrix = PartialMatrix(prog.metadata["dim"], entries, ext.extended.edges)
+    assert is_psd_completable(partial_matrix, cs)
