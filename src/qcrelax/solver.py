@@ -625,6 +625,16 @@ def solve(sf: StandardForm, cfg: SolverConfig | None = None) -> Solution:
     return sol
 
 
+def _finite(*parts) -> bool:
+    """Whether every entry of a Newton direction is finite.
+
+    Only the first solve of an iteration is guarded by _KktSolver; the
+    predictor and corrector solves reuse its factor and are checked here,
+    before a non-finite direction reaches the step length.
+    """
+    return all(np.isfinite(part).all() for part in parts)
+
+
 def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
     p, q = A.shape
     nu = layout.degree
@@ -729,6 +739,8 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         # predictor
         lam2 = sc.jordan(lam, lam)
         dx_a, dy_a, ds_a, dt_a, dk_a = direction(1.0, -lam, -tau * kappa)
+        if not _finite(dx_a, dy_a, ds_a, dt_a, dk_a):
+            return make("NumericalFailure", it)
         alpha_a = min(1.0, boundary(dx_a, ds_a, dt_a, dk_a))
         mu_aff = (
             layout.dot_trace(x + alpha_a * dx_a, s + alpha_a * ds_a)
@@ -741,6 +753,8 @@ def _hsde(A, b, c, layout: ConeLayout, cfg: SolverConfig) -> Solution:
         dcomb = sc.lam_solve(sigma * mu * e - lam2 - corr)
         dg = sigma * mu - tau * kappa - dt_a * dk_a
         dx, dy, ds, dtau, dkap = direction(1.0 - sigma, dcomb, dg)
+        if not _finite(dx, dy, ds, dtau, dkap):
+            return make("NumericalFailure", it)
 
         alpha = min(1.0, cfg.step_fraction * boundary(dx, ds, dtau, dkap))
         for _ in range(30):

@@ -359,7 +359,7 @@ def test_ordering_follows_the_kkt_structure(spy, splu_calls, builder, nl, form, 
     assert set(dims[on_m:]) <= {pattern.sparse.size}
     # the first factorization computes the MMD order, the later ones reuse it
     mmd = specs[:on_m] if normal else specs
-    assert mmd[0] == "MMD_AT_PLUS_A" and set(mmd[1:]) <= {"NATURAL"}
+    assert mmd[0] == "MMD_AT_PLUS_A" and set(mmd[1:]) == {"NATURAL"}
     if normal:
         # one factorization of M per iteration; an iteration whose first solve
         # misses the constraint rows factors K too, and so do the ones after it,
@@ -475,6 +475,34 @@ def test_first_solve_guards_the_factor(monkeypatch, bad_solve):
     u, v = kkt.first
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
     np.testing.assert_allclose(sf.A @ u, sf.b, atol=1e-8 * np.linalg.norm(sf.b))
+
+
+@pytest.mark.parametrize("builder", [build_fsdp, build_ssocp])
+@pytest.mark.parametrize("later", [1, 2], ids=["predictor", "corrector"])
+def test_non_finite_direction_is_a_numerical_failure(monkeypatch, builder, later):
+    # the factor of the third iteration passes its guard on the first solve,
+    # then returns NaN from the predictor's solve on, or the corrector's
+    init, solve2 = _KktSolver.__init__, _KktSolver.solve2
+    made = []
+
+    def stub_init(self, *args):
+        self.solves = 0
+        init(self, *args)
+        made.append(self)
+        if len(made) == 3:
+            lu_solve = self.lu_solve
+            self.lu_solve = lambda r: np.full_like(r, np.nan) if self.solves > later else lu_solve(r)
+
+    def counted(self, g, h):
+        self.solves += 1
+        return solve2(self, g, h)
+
+    monkeypatch.setattr(_KktSolver, "__init__", stub_init)
+    monkeypatch.setattr(_KktSolver, "solve2", counted)
+    sol = solve(_lattice_sf(builder, 3))
+    assert sol.status == "NumericalFailure"
+    assert sol.iterations == 2 and len(made) == 3
+    assert made[2].ok and made[2].solves == later + 1
 
 
 def test_every_triangular_solve_is_made_by_solve2(monkeypatch, spy):
