@@ -524,7 +524,9 @@ class _KktSolver:
     or the Schur complement's LU raises, or if the unrefined solution of
     the first system, in equilibrated units (Q K Q x = Q r with
     Q = diag(eq), so that Q K Q has entries of at most 1), is not finite
-    or exceeds its right-hand side SINGULAR times.  The refinement of
+    or exceeds its right-hand side SINGULAR times.  The predictor and
+    corrector solves reuse the factor unguarded; _hsde stops with
+    NumericalFailure if their directions are not finite.  The refinement of
     `solve2` works in the caller's units, on the residuals of the unscaled
     system through A and W, against a target of 1e-11 (1 + |g| + |h|).
     """
