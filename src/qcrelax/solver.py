@@ -529,6 +529,9 @@ class _KktSolver:
     NumericalFailure if their directions are not finite.  The refinement of
     `solve2` works in the caller's units, on the residuals of the unscaled
     system through A and W, against a target of 1e-11 (1 + |g| + |h|).
+    The residual's H^-1 u comes from the W^-1 u that the equilibrated
+    solve gives as its first block, carried through the refinement beside
+    u: one W^-1 product per residual, where W^-1 W^-1 u would take two.
     """
 
     def __init__(self, pattern: _KktPattern, scaling, g, h):
@@ -554,7 +557,11 @@ class _KktSolver:
             ridge = RIDGE if ridge == 0.0 else ridge * 1e4
 
     def _raw_solve(self, g, h):
-        """(u, v) from the factors alone, and whether the solve passes the guard."""
+        """(u, w, v) from the factors alone, and whether the solve passes the guard.
+
+        w is the equilibrated solve's own first block: W^-1 u on the cone
+        coordinates and u_F on the free ones.
+        """
         sc, free, q = self.scaling, self.pattern.free_idx, self.pattern.q
         rhs = np.concatenate([sc.apply_W(g), h])
         rhs[free] = g[free]
@@ -563,31 +570,35 @@ class _KktSolver:
         # false for a non-finite solution too
         bounded = np.linalg.norm(sol) <= SINGULAR * np.linalg.norm(rhs)
         sol *= self.eq
-        u = sc.apply_W(sol[:q])
-        u[free] = sol[free]
-        return u, -sol[q:], bounded
+        w = sol[:q]
+        u = sc.apply_W(w)
+        u[free] = w[free]
+        return u, w, -sol[q:], bounded
 
     def solve2(self, g, h):
         """Solve  Hinv u - A' v = g (cone rows), -A_F' v = g_F,  A u = h.
 
         Hinv is zero on free coordinates, so the refinement's residual in g
-        is one formula for both kinds of rows.  `bounded` records whether
-        the unrefined solve passed the guard, and `rows_met` whether the
-        refined solve meets the target in the constraint rows A u = h.
+        is one formula for both kinds of rows.  Its Hinv u is W^-1 w, from
+        the w = W^-1 u that each raw solve returns beside u, carried through
+        the refinement: one W^-1 product per residual.  `bounded` records
+        whether the unrefined solve passed the guard, and `rows_met` whether
+        the refined solve meets the target in the constraint rows A u = h.
         """
         A, AT, sc = self.pattern.A, self.pattern.AT, self.scaling
-        u, v, self.bounded = self._raw_solve(g, h)
+        u, w, v, self.bounded = self._raw_solve(g, h)
         target = 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
         prev = np.inf
         for _ in range(MAX_REFINE):
-            r_g = g - (sc.apply_Hinv(u) - AT @ v)
+            r_g = g - (sc.apply_Winv(w) - AT @ v)
             r_h = h - A @ u
             err = np.linalg.norm(r_g) + np.linalg.norm(r_h)
             if not np.isfinite(err) or err <= target or err >= 0.5 * prev:
                 break
             prev = err
-            du, dv, _ = self._raw_solve(r_g, r_h)
+            du, dw, dv, _ = self._raw_solve(r_g, r_h)
             u = u + du
+            w = w + dw
             v = v + dv
         self.rows_met = np.linalg.norm(r_h) <= target
         return u, v

@@ -111,13 +111,18 @@ MIXED = [
 PSD3 = slice(13, 19)  # the side-3 block's svec coordinates
 
 
+def soc_cones(layout):
+    """The coordinates of each second-order cone, read from the layout's flat arrays."""
+    return np.split(layout.soc_idx, layout.soc_heads[1:])[: layout.soc_heads.size]
+
+
 def interior_point(layout, rng):
     """A random strictly interior point, with zeros on the free coordinates."""
     z = np.zeros(layout.dim)
-    for d, take in layout._soc_take.items():
-        tail = rng.standard_normal((len(take), d - 1))
-        z[take[:, 1:]] = tail
-        z[take[:, 0]] = np.linalg.norm(tail, axis=1) + rng.uniform(0.1, 1.0, len(take))
+    for t in soc_cones(layout):
+        tail = rng.standard_normal(t.size - 1)
+        z[t[1:]] = tail
+        z[t[0]] = np.linalg.norm(tail) + rng.uniform(0.1, 1.0)
     for side, take in layout._psd_take.items():
         G = rng.standard_normal((len(take), side, side))
         z[take] = svec(G @ np.swapaxes(G, -1, -2) + 0.5 * np.eye(side))
@@ -148,7 +153,7 @@ def mixed_A(layout, rng):
 
 def structural_pattern(layout, A):
     """Every (row, column) where B = A W can be nonzero: the row's cone segments."""
-    cones = [list(t) for take in layout._soc_take.values() for t in take]
+    cones = [list(t) for t in soc_cones(layout)]
     cones += [list(t) for take in layout._psd_take.values() for t in take]
     return {(r, j) for r in range(A.shape[0]) for c in cones if A[r, c].any() for j in c}
 
@@ -268,7 +273,8 @@ EVERY_SOC = [
 
 def test_nt_scaling_on_every_soc_dimension():
     layout = ConeLayout(EVERY_SOC)
-    assert list(layout.soc_groups[1]) == [0, 1, 2]  # nonneg coordinates are SOC(1) cones
+    # nonneg coordinates are SOC(1) cones
+    assert list(layout.soc_idx[layout.soc_heads[layout.soc_dims == 1]]) == [0, 1, 2]
     rng = np.random.default_rng(11)
     x, s = interior_point(layout, rng), interior_point(layout, rng)
     sc = layout.scaling(x, s)
@@ -276,7 +282,7 @@ def test_nt_scaling_on_every_soc_dimension():
     W = np.array([sc.apply_W(u) for u in eye]).T
     Winv = np.array([sc.apply_Winv(u) for u in eye]).T
     # W is symmetric and block diagonal over the cones, and apply_Winv inverts it
-    blocks = [t for take in (*layout._soc_take.values(), *layout._psd_take.values()) for t in take]
+    blocks = soc_cones(layout) + [t for take in layout._psd_take.values() for t in take]
     on_block = np.zeros(W.shape, dtype=bool)
     for t in blocks:
         on_block[np.ix_(t, t)] = True
@@ -288,14 +294,13 @@ def test_nt_scaling_on_every_soc_dimension():
     # lambda = W s takes the same path as every product with W
     assert np.array_equal(sc.lmbda, sc.apply_W(s))
     # W J W = sqrt(det x / det s) J on each SOC; for d = 1 this reads w^2 = x / s
-    for d, take in layout._soc_take.items():
-        J = np.diag([1.0] + [-1.0] * (d - 1))
-        for t in take:
-            det_x = x[t[0]] ** 2 - x[t[1:]] @ x[t[1:]]
-            det_s = s[t[0]] ** 2 - s[t[1:]] @ s[t[1:]]
-            Wc = W[np.ix_(t, t)]
-            want = np.sqrt(det_x / det_s) * J
-            np.testing.assert_allclose(Wc @ J @ Wc, want, rtol=1e-12, atol=1e-12)
+    for t in soc_cones(layout):
+        J = np.diag([1.0] + [-1.0] * (t.size - 1))
+        det_x = x[t[0]] ** 2 - x[t[1:]] @ x[t[1:]]
+        det_s = s[t[0]] ** 2 - s[t[1:]] @ s[t[1:]]
+        Wc = W[np.ix_(t, t)]
+        want = np.sqrt(det_x / det_s) * J
+        np.testing.assert_allclose(Wc @ J @ Wc, want, rtol=1e-12, atol=1e-12)
 
 
 # EVERY_SOC with a side group of three psd 3 blocks and a psd 2 group, and an
@@ -367,3 +372,100 @@ def test_psd_max_step_matches_generalized_eigh():
                     want = min(want, -1.0 / w)
         assert layout.max_step(z, dz) == pytest.approx(want, rel=1e-10)
     assert layout.max_step(z, np.zeros(layout.dim)) == np.inf
+
+
+def test_in_interior_rejects_non_finite_points():
+    # every coordinate of every kind: nonneg, SOC head and tail, PSD, free
+    layout = ConeLayout(MIXED)
+    z = interior_point(layout, np.random.default_rng(14))
+    assert layout.in_interior(z)
+    for i in range(layout.dim):
+        for bad in (np.nan, np.inf, -np.inf):
+            zb = z.copy()
+            zb[i] = bad
+            assert not layout.in_interior(zb), (i, bad)
+
+
+# cone dimensions interleaved in coordinate order with PSD blocks and free coordinates
+INTERLEAVED = [
+    ConeBlock("soc", 3),
+    ConeBlock("nonneg", 2),
+    ConeBlock("zero", 1),
+    ConeBlock("soc", 12),
+    ConeBlock("psd", 2),
+    ConeBlock("soc", 1),
+    ConeBlock("soc", 5),
+]
+
+
+def nt_soc_block(x, s):
+    """The dense NT scaling eta (2 q q' - J) of one second-order cone."""
+    J = np.diag([1.0] + [-1.0] * (x.size - 1))
+    det_x, det_s = x @ J @ x, s @ J @ s
+    xb, sb = x / np.sqrt(det_x), s / np.sqrt(det_s)
+    wb = (xb + J @ sb) / np.sqrt(2.0 * (1.0 + xb @ sb))
+    q = (wb + np.eye(x.size)[0]) / np.sqrt(2.0 * (1.0 + wb[0]))
+    return (det_x / det_s) ** 0.25 * (2.0 * np.outer(q, q) - J)
+
+
+def dense_operator(fn, L):
+    """The matrix of a linear map on R^L, column by column."""
+    return np.column_stack([fn(u) for u in np.eye(L)])
+
+
+def assert_close(got, want):
+    """Agreement to 1e-12 relative to the largest entry of want."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_flat_soc_path_matches_dense_oracles():
+    layout = ConeLayout(INTERLEAVED)
+    assert list(layout.soc_dims) == [3, 1, 1, 12, 1, 5]
+    assert list(layout.free_idx) == [5]
+    rng = np.random.default_rng(15)
+    x, s = interior_point(layout, rng), interior_point(layout, rng)
+    sc = layout.scaling(x, s)
+    n = layout.dim
+    psd = layout._psd_take[2][0]
+    # dense W: the rank-one blocks per cone, R U R on the PSD block, zero on free coordinates
+    W = np.zeros((n, n))
+    for t in soc_cones(layout):
+        W[np.ix_(t, t)] = nt_soc_block(x[t], s[t])
+    X, S = smat(x[psd], 2), smat(s[psd], 2)
+    Sh = sla.sqrtm(S).real
+    Shi = np.linalg.inv(Sh)
+    R = sla.sqrtm(Shi @ sla.sqrtm(Sh @ X @ Sh).real @ Shi).real
+    W[np.ix_(psd, psd)] = dense_operator(lambda u: svec(R @ smat(u, 2) @ R), psd.size)
+    cone = np.setdiff1d(np.arange(n), layout.free_idx)
+    Winv = np.zeros((n, n))
+    Winv[np.ix_(cone, cone)] = np.linalg.inv(W[np.ix_(cone, cone)])
+    u, v = rng.standard_normal((2, n))
+    assert_close(sc.apply_W(u), W @ u)
+    assert_close(sc.apply_Winv(u), Winv @ u)
+    assert_close(sc.lmbda, W @ s)
+    # Jordan product and its inverse against lambda: Arw per cone, the Lyapunov map on PSD
+    lam = sc.lmbda
+    arw = np.zeros((n, n))
+    for t in soc_cones(layout):
+        arw[np.ix_(t, t)] = lam[t[0]] * np.eye(t.size)
+        arw[t[0], t] = arw[t, t[0]] = lam[t]
+    L = smat(lam[psd], 2)
+    arw[np.ix_(psd, psd)] = dense_operator(
+        lambda w: svec((L @ smat(w, 2) + smat(w, 2) @ L) / 2.0), psd.size
+    )
+    assert_close(sc.jordan(lam, u), arw @ u)
+    assert_close(sc.jordan(u, v)[cone], sc.jordan(v, u)[cone])
+    want = np.zeros(n)
+    want[cone] = np.linalg.solve(arw[np.ix_(cone, cone)], u[cone])
+    assert_close(sc.lam_solve(u), want)
+    assert not sc.jordan(lam, u)[layout.free_idx].any()
+    assert not sc.lam_solve(u)[layout.free_idx].any()
+    assert layout.dot_trace(u, v) == pytest.approx(u[cone] @ v[cone], rel=1e-12)
+    # B = A W over a pattern whose rows touch the cones in every combination
+    A = rng.standard_normal((8, n)) * (rng.random((8, n)) < 0.4)
+    A[0] = 0.0
+    A[1, :] = 1.0
+    pat = ColumnPattern(layout, sp.csr_matrix(A))
+    B = sp.csr_matrix((sc.scale_columns(pat), (pat.rows, pat.cols)), shape=A.shape)
+    assert_close(B.toarray(), A @ W)
+    assert set(zip(pat.rows.tolist(), pat.cols.tolist())) == structural_pattern(layout, A)

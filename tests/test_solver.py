@@ -16,7 +16,7 @@ from qcrelax.build import (
 )
 from qcrelax.chordal import chordal_parts
 from qcrelax.completion import PartialMatrix, is_psd_completable
-from qcrelax.cones import ConeLayout
+from qcrelax.cones import ConeLayout, Scaling
 from qcrelax.generators import LatticeSpec, gen_lattice
 from qcrelax.model import aggregate_pattern, homogenize
 from qcrelax.program import ConeBlock, StandardForm, to_standard_form, variable_values
@@ -549,6 +549,59 @@ def test_every_triangular_solve_is_made_by_solve2(monkeypatch, spy):
     assert in_factor == [2] * sol.iterations
     # (-c, b), the predictor and the corrector, each with its refinement
     assert len(in_solve2) >= 3 * sol.iterations and set(in_solve2) == {1}
+
+
+@pytest.mark.parametrize("builder,form", [(build_fsocp, "P"), (build_ssocp, "D")])
+def test_refinement_residual_takes_one_winv_product(monkeypatch, builder, form):
+    # each raw solve applies W to g and to its solution w = W^-1 u; each refinement
+    # residual takes H^-1 u = W^-1 w from the carried w, and apply_Hinv is not called
+    sf = _lattice_sf(builder, 4, form=form)
+    counts = {"W": 0, "Winv": 0, "raw": 0}
+    per_solve2 = []
+    scaling_map, raw_solve, solve2 = Scaling._map, _KktSolver._raw_solve, _KktSolver.solve2
+
+    def counted_map(self, u, inverse):
+        counts["Winv" if inverse else "W"] += 1
+        return scaling_map(self, u, inverse)
+
+    def counted_raw_solve(self, g, h):
+        counts["raw"] += 1
+        return raw_solve(self, g, h)
+
+    def counted_solve2(self, g, h):
+        before = dict(counts)
+        out = solve2(self, g, h)
+        per_solve2.append({k: counts[k] - before[k] for k in counts})
+        return out
+
+    def no_hinv(self, u):
+        raise AssertionError("apply_Hinv called")
+
+    monkeypatch.setattr(Scaling, "_map", counted_map)
+    monkeypatch.setattr(Scaling, "apply_Hinv", no_hinv)
+    monkeypatch.setattr(_KktSolver, "_raw_solve", counted_raw_solve)
+    monkeypatch.setattr(_KktSolver, "solve2", counted_solve2)
+    sol = solve(sf)
+    assert sol.status == "Optimal" and len(per_solve2) == 3 * sol.iterations
+    for c in per_solve2:
+        assert c["W"] == 2 * c["raw"]
+        # a residual follows every raw solve but the one after the last refinement step
+        assert c["Winv"] == min(c["raw"], solver_mod.MAX_REFINE)
+    assert any(c["raw"] > 1 for c in per_solve2)
+    # the refined (u, v) meet the Newton system in the caller's units, with H^-1 u
+    # taken from u itself, at a mid-solve scaling and for a second right-hand side
+    sc = _mid_solve_scaling(sf)
+    pattern = _kkt_pattern(sf)
+    A, free = pattern.A, pattern.free_idx
+    kkt = _KktSolver(pattern, sc, -sf.c, sf.b)
+    assert kkt.ok
+    rng = np.random.default_rng(16)
+    g, h = rng.standard_normal(pattern.q), rng.standard_normal(pattern.p)
+    for (g, h), (u, v) in [((-sf.c, sf.b), kkt.first), ((g, h), kkt.solve2(g, h))]:
+        hinv_u = sc.apply_Winv(sc.apply_Winv(u))
+        assert not hinv_u[free].any()
+        err = np.linalg.norm(g - (hinv_u - A.T @ v)) + np.linalg.norm(h - A @ u)
+        assert err <= 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
 
 
 def test_ridge_retry_with_cached_order(splu_calls):
