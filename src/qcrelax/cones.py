@@ -22,7 +22,9 @@ gather, one per-cone sum and one scatter for all cones (Andersen, Roos &
 Terlaky, Math. Prog. 95, 2003, apply the SOC scaling the same way).
 `ColumnPattern` is the structural pattern of the KKT block B = A W, fixed
 for a solve; `Scaling.scale_columns` fills in its values from the same
-rank-one form.
+rank-one form.  `ConeLayout.clip_spectral` clips the spectral values
+v_0 +- |v_bar| of every second-order cone into a band, in closed form from
+one per-cone sum; the solver's centrality corrector uses it.
 
 Free coordinates have no associated cone; the solver keeps their dual
 slack pinned at zero and they never enter scalings or step lengths.
@@ -144,6 +146,34 @@ class ConeLayout:
     def dot_trace(self, x: np.ndarray, s: np.ndarray) -> float:
         """x . s over cone coordinates only (free coords excluded)."""
         return float(x[self._conic] @ s[self._conic])
+
+    def clip_spectral(self, v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """v with each second-order cone's spectral values clipped into [lo, hi].
+
+        A cone's v = (v_0, v_bar) has the spectral values v_0 +- |v_bar| on
+        the frame (1, +-v_bar / |v_bar|) / 2; SOC(1) has the one value v_0.
+        Clipping both and putting them back gives the head (l_1 + l_2) / 2
+        and the tail v_bar (l_1 - l_2) / (2 |v_bar|), for every dimension
+        from one per-cone sum.  A cone whose values are both in the band
+        comes back bit for bit, and an SOC(1) coordinate as `np.clip` gives
+        it.  PSD and free coordinates pass through unchanged.
+        """
+        out = v.copy()
+        vv = v[self._soc_at]
+        v0 = vv[self.soc_heads]
+        sq = vv * vv
+        sq[self.soc_heads] = 0.0
+        nrm = np.sqrt(self._cone_sums(sq))  # |v_bar| per cone
+        l1, l2 = v0 + nrm, v0 - nrm
+        c1, c2 = np.clip(l1, lo, hi), np.clip(l2, lo, hi)
+        moved = (c1 != l1) | (c2 != l2)
+        head = np.where(moved, (c1 + c2) / 2.0, v0)
+        tail = np.ones_like(nrm)
+        np.divide(c1 - c2, 2.0 * nrm, out=tail, where=moved & (nrm > 0.0))
+        clipped = vv * tail[self._cone]
+        clipped[self.soc_heads] = head
+        out[self._soc_at] = clipped
+        return out
 
     # -- step to the boundary --------------------------------------------------
 

@@ -327,8 +327,16 @@ def _cone_blocks(prog: ConicProgram) -> list:
 
 
 def _soc_and_slack_blocks(prog: ConicProgram) -> list:
-    """One soc block per soc constraint, then one nonneg block for the inequalities."""
-    K = [_cone_block("soc", d) for d in prog.soc_dims]
+    """One soc block per soc constraint, then one nonneg block for the inequalities.
+
+    The soc blocks are listed by runs of equal dimension, one cache lookup per run.
+    """
+    dims = np.asarray(prog.soc_dims, dtype=int)
+    first = np.flatnonzero(np.diff(dims, prepend=-1))  # where each run starts
+    runs = np.diff(first, append=dims.size)
+    K = []
+    for d, n in zip(dims[first].tolist(), runs.tolist()):
+        K += [_cone_block("soc", d)] * n
     if prog.num_rows("ineq"):
         K.append(ConeBlock("nonneg", prog.num_rows("ineq")))
     return K

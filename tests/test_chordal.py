@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from qcrelax.chordal import (
+    _mcs_ordering,
     ChordalExtension,
     Graph,
     NotChordalError,
@@ -12,7 +14,8 @@ from qcrelax.chordal import (
     maximal_cliques,
     overlap_set,
 )
-from qcrelax.generators import ZeroDiagSpec, gen_zero_diag, lattice_edges
+from qcrelax.generators import LatticeSpec, ZeroDiagSpec, gen_lattice, gen_zero_diag, lattice_edges
+from qcrelax.model import aggregate_pattern, homogenize
 
 
 def test_graph_validation():
@@ -136,3 +139,74 @@ def test_chordal_parts_of_a_pattern():
     assert len(ext.added_edges) == 1
     assert cs == maximal_cliques(ext)
     assert overlaps == overlap_set(cs)
+
+
+def _mcs_by_scan(g):
+    """Maximum cardinality search by a scan of the unvisited vertices at each step."""
+    adj = g.adjacency()
+    weights = {v: 0 for v in adj}
+    order = []
+    remaining = set(adj)
+    while remaining:
+        best = max(weights[u] for u in remaining)
+        v = min(u for u in remaining if weights[u] == best)
+        order.append(v)
+        remaining.remove(v)
+        for u in adj[v] & remaining:
+            weights[u] += 1
+    return order
+
+
+def _min_degree_by_scan(g):
+    """(ordering, fill) of minimum-degree elimination by a scan at each step."""
+    adj = {v: set(nb) for v, nb in g.adjacency().items()}
+    remaining = set(adj)
+    order, fill = [], set()
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        remaining.remove(v)
+        later = sorted(adj[v] & remaining)
+        for a in range(len(later)):
+            for b in range(a + 1, len(later)):
+                i, j = later[a], later[b]
+                if j not in adj[i]:
+                    adj[i].add(j)
+                    adj[j].add(i)
+                    fill.add((i, j))
+    return tuple(order), frozenset(fill)
+
+
+def _random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, frozenset(
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
+    ))
+
+
+def _homogenized_lattice(nl):
+    pattern = aggregate_pattern(homogenize(gen_lattice(LatticeSpec(nl, 5, 0))))
+    return Graph(pattern.dim, pattern.edges)
+
+
+HEAP_CASES = [
+    *(pytest.param(Graph(nl * nl, frozenset(lattice_edges(nl))), id=f"lattice-{nl}")
+      for nl in (3, 8, 13, 16)),
+    *(pytest.param(_homogenized_lattice(nl), id=f"homogenized-{nl}") for nl in (4, 8)),
+    *(pytest.param(_random_graph(n, p, seed), id=f"random-{n}-{p}-{seed}")
+      for n, p, seed in ((12, 0.2, 0), (30, 0.1, 1), (40, 0.15, 2), (60, 0.05, 3), (25, 0.5, 4))),
+    pytest.param(Graph(5, frozenset({(1, 2), (1, 3), (3, 4), (3, 5)})), id="tree"),
+]
+
+
+@pytest.mark.parametrize("g", HEAP_CASES)
+def test_heap_searches_make_the_scans_choices(g):
+    # the lazy heaps pick the same vertex at every step as a scan of the
+    # remaining vertices does, so the orderings and the fill are identical
+    assert _mcs_ordering(g) == _mcs_by_scan(g)
+    ext = chordal_extension(g)
+    if is_chordal(g):
+        assert ext.added_edges == frozenset()
+        assert list(ext.ordering) == _mcs_by_scan(g)[::-1]
+    else:
+        assert (ext.ordering, ext.added_edges) == _min_degree_by_scan(g)

@@ -469,3 +469,54 @@ def test_flat_soc_path_matches_dense_oracles():
     B = sp.csr_matrix((sc.scale_columns(pat), (pat.rows, pat.cols)), shape=A.shape)
     assert_close(B.toarray(), A @ W)
     assert set(zip(pat.rows.tolist(), pat.cols.tolist())) == structural_pattern(layout, A)
+
+
+def clip_oracle(v, lo, hi):
+    """One cone's spectral clip, from its spectral decomposition taken directly."""
+    if v.size == 1:
+        return np.clip(v, lo, hi)
+    nrm = np.linalg.norm(v[1:])
+    frame = v[1:] / nrm if nrm > 0.0 else np.zeros(v.size - 1)
+    c1, c2 = np.clip([v[0] + nrm, v[0] - nrm], lo, hi)
+    return np.concatenate([[(c1 + c2) / 2.0], (c1 - c2) / 2.0 * frame])
+
+
+def spectral_values(v):
+    nrm = np.linalg.norm(v[1:])
+    return v[0] - nrm, v[0] + nrm
+
+
+def test_clip_spectral_matches_a_per_cone_oracle():
+    blocks = [ConeBlock("nonneg", 4), ConeBlock("zero", 2)]
+    blocks += [ConeBlock("soc", d) for d in (2, 3, 5, 12) for _ in range(4)]
+    layout = ConeLayout(blocks)
+    cones = soc_cones(layout)
+    assert sorted({t.size for t in cones}) == [1, 2, 3, 5, 12]
+    lo, hi = 0.1, 10.0
+    rng = np.random.default_rng(23)
+    v = np.zeros(layout.dim)
+    v[layout.free_idx] = [-5.0, 50.0]
+    # per dimension: a cone in the band, one above it, one straddling it, and one
+    # with a zero tail below it; SOC(1) takes the heads alone
+    heads, spreads = [1.0, 40.0, 0.5, 0.01], [0.5, 5.0, 3.0, 0.0]
+    for k, t in enumerate(cones):
+        tail = rng.standard_normal(t.size - 1)
+        tail *= spreads[k % 4] * heads[k % 4] / max(np.linalg.norm(tail), 1e-300)
+        v[t] = np.concatenate([[heads[k % 4]], tail])
+    out = layout.clip_spectral(v, lo, hi)
+    np.testing.assert_array_equal(out[layout.free_idx], v[layout.free_idx])
+    inside = 0
+    for t in cones:
+        got, cone = out[t], v[t]
+        if t.size == 1:
+            np.testing.assert_array_equal(got, np.clip(cone, lo, hi))
+        np.testing.assert_allclose(got, clip_oracle(cone, lo, hi), rtol=1e-14, atol=1e-15)
+        low, high = spectral_values(cone)
+        if lo <= low and high <= hi:
+            inside += 1
+            np.testing.assert_array_equal(got, cone)
+        low, high = spectral_values(got)
+        assert lo * (1 - 1e-12) <= low <= high <= hi * (1 + 1e-12)
+    assert inside == 6  # two SOC(1) heads and one cone of each other dimension
+    # a band wide enough leaves every value as it is
+    np.testing.assert_array_equal(layout.clip_spectral(v, -1e3, 1e3), v)

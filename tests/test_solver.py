@@ -551,6 +551,21 @@ def test_every_triangular_solve_is_made_by_solve2(monkeypatch, spy):
     assert len(in_solve2) >= 3 * sol.iterations and set(in_solve2) == {1}
 
 
+def _count_correctors(monkeypatch):
+    """Spy on the centrality corrector: per call, the Mehrotra step's alpha, the alpha
+    taken and whether the corrector was kept."""
+    tried = []
+    corrector = solver_mod._centrality_corrector
+
+    def counted(sc, direction, boundary, step, alpha, *args):
+        out = corrector(sc, direction, boundary, step, alpha, *args)
+        tried.append((alpha, out[1], out[0] is not step))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_centrality_corrector", counted)
+    return tried
+
+
 @pytest.mark.parametrize("builder,form", [(build_fsocp, "P"), (build_ssocp, "D")])
 def test_refinement_residual_takes_one_winv_product(monkeypatch, builder, form):
     # each raw solve applies W to g and to its solution w = W^-1 u; each refinement
@@ -558,6 +573,7 @@ def test_refinement_residual_takes_one_winv_product(monkeypatch, builder, form):
     sf = _lattice_sf(builder, 4, form=form)
     counts = {"W": 0, "Winv": 0, "raw": 0}
     per_solve2 = []
+    tried = _count_correctors(monkeypatch)
     scaling_map, raw_solve, solve2 = Scaling._map, _KktSolver._raw_solve, _KktSolver.solve2
 
     def counted_map(self, u, inverse):
@@ -582,7 +598,9 @@ def test_refinement_residual_takes_one_winv_product(monkeypatch, builder, form):
     monkeypatch.setattr(_KktSolver, "_raw_solve", counted_raw_solve)
     monkeypatch.setattr(_KktSolver, "solve2", counted_solve2)
     sol = solve(sf)
-    assert sol.status == "Optimal" and len(per_solve2) == 3 * sol.iterations
+    # (-c, b), the predictor and the corrector, and one solve per centrality corrector
+    assert sol.status == "Optimal" and tried
+    assert len(per_solve2) == 3 * sol.iterations + len(tried)
     for c in per_solve2:
         assert c["W"] == 2 * c["raw"]
         # a residual follows every raw solve but the one after the last refinement step
@@ -602,6 +620,74 @@ def test_refinement_residual_takes_one_winv_product(monkeypatch, builder, form):
         assert not hinv_u[free].any()
         err = np.linalg.norm(g - (hinv_u - A.T @ v)) + np.linalg.norm(h - A @ u)
         assert err <= 1e-11 * (1.0 + np.linalg.norm(g) + np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("form", ["P", "D"])
+@pytest.mark.parametrize("builder", [build_fsdp, build_ssdp])
+def test_psd_layouts_take_no_centrality_corrector(monkeypatch, builder, form):
+    calls = []
+    solve2 = _KktSolver.solve2
+
+    def counted(self, g, h):
+        calls.append(1)
+        return solve2(self, g, h)
+
+    monkeypatch.setattr(_KktSolver, "solve2", counted)
+    tried = _count_correctors(monkeypatch)
+    sol = solve(_lattice_sf(builder, 3, form=form))
+    assert sol.status == "Optimal"
+    assert tried == [] and len(calls) == 3 * sol.iterations
+
+
+@pytest.mark.parametrize("builder,form", [(build_fsocp, "P"), (build_ssocp, "P"), (build_dual_ssocp, "D")])
+def test_centrality_corrector_runs_on_short_steps(monkeypatch, builder, form):
+    # tried only when the Mehrotra step to the boundary is short of 1, and kept only
+    # if it lengthens that step by ACCEPT_GAIN
+    steps = _count_correctors(monkeypatch)
+    boundaries = []
+    max_step = ConeLayout.max_step
+
+    def recorded(self, z, dz):
+        boundaries.append(max_step(self, z, dz))
+        return boundaries[-1]
+
+    monkeypatch.setattr(ConeLayout, "max_step", recorded)
+    sol = solve(_lattice_sf(builder, 4, form=form))
+    assert sol.status == "Optimal" and steps
+    for alpha, taken, kept in steps:
+        assert alpha < 1.0
+        assert taken >= solver_mod.ACCEPT_GAIN * alpha if kept else taken == alpha
+    assert any(kept for *_, kept in steps)
+    # one step to the boundary for the predictor and one for the Mehrotra direction
+    # per iteration, and one for each corrector
+    assert len(boundaries) == 2 * sol.iterations + len(steps)
+
+
+def test_non_finite_centrality_corrector_keeps_the_step(monkeypatch):
+    # the factor of the third iteration returns NaN from its fourth solve on, the
+    # centrality corrector's: the Mehrotra step is taken and the solve goes on
+    init, solve2 = _KktSolver.__init__, _KktSolver.solve2
+    made = []
+
+    def stub_init(self, *args):
+        self.solves = 0
+        init(self, *args)
+        made.append(self)
+        if len(made) == 3:
+            lu_solve = self.lu_solve
+            self.lu_solve = lambda r: np.full_like(r, np.nan) if self.solves > 3 else lu_solve(r)
+
+    def counted(self, g, h):
+        self.solves += 1
+        return solve2(self, g, h)
+
+    monkeypatch.setattr(_KktSolver, "__init__", stub_init)
+    monkeypatch.setattr(_KktSolver, "solve2", counted)
+    sf = _lattice_sf(build_ssocp, 3)
+    sol = solve(sf)
+    assert made[2].solves == 4
+    assert sol.status == "Optimal" and sol.iterations > 3
+    assert sol.residuals == residuals(sf, sol)
 
 
 def test_ridge_retry_with_cached_order(splu_calls):
