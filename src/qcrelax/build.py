@@ -19,13 +19,12 @@ what the extractors need to map solver output back to matrix entries.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .chordal import ChordalExtension, CliqueSet, OverlapSet
-from .model import AggregatePattern, HomogenizedData, aggregate_pattern
+from .model import AggregatePattern, HomogenizedData, aggregate_pairs
 from .program import SQRT2, ConicProgram, svec_index
+from .sparsemat import stack_entries
 
 
 class DecompositionError(ValueError):
@@ -36,23 +35,9 @@ class BuildError(ValueError):
     """Builder inputs are inconsistent."""
 
 
-def _all_pairs(dim):
-    return list(itertools.combinations(range(1, dim + 1), 2))
-
-
-def _int_rows(tuples, count, width) -> np.ndarray:
-    """(count, width) array of `count` integer tuples of length `width`."""
-    flat = np.fromiter(itertools.chain.from_iterable(tuples), np.intp, count * width)
-    return flat.reshape(count, width)
-
-
-def _entries(mats):
-    """(k, i, j, v): the stored entries of mats[0], mats[1], ... as flat arrays."""
-    k = np.repeat(np.arange(len(mats)), [len(Q.entries) for Q in mats])
-    chain = itertools.chain.from_iterable
-    ij = _int_rows(chain(Q.entries for Q in mats), k.size, 2)
-    v = np.fromiter(chain(Q.entries.values() for Q in mats), float, k.size)
-    return k, ij[:, 0], ij[:, 1], v
+def _all_pairs(dim) -> np.ndarray:
+    """Every pair i < j of 1..dim as a sorted (pairs, 2) array."""
+    return np.stack(np.triu_indices(dim, 1), axis=1) + 1
 
 
 def _pair_index(N, pairs: np.ndarray, i, j) -> np.ndarray:
@@ -109,9 +94,12 @@ def build_ssdp(
         a, b = np.minimum(a, b), np.maximum(a, b)
         return start[u] + a * side[u] - a * (a - 1) // 2 + (b - a)
 
-    # each data entry goes to the first clique holding both its indices
-    k, i, j, v = _entries(data.Q)
-    col = entry_col(_first_clique(inc, i, j), i, j)
+    # each data entry goes to the first clique holding both its indices,
+    # found once per distinct position (the m + 1 matrices share most)
+    k, i, j, v = stack_entries(data.Q)
+    pos, at = np.unique(i * (N + 1) + j, return_inverse=True)
+    pi, pj = np.divmod(pos, N + 1)
+    col = entry_col(_first_clique(inc, pi, pj), pi, pj)[at]
     val = np.where(i == j, v, SQRT2 * v)
     obj = k == 0
     prog.set_objective(dict(zip(col[obj].tolist(), val[obj].tolist())))
@@ -119,7 +107,7 @@ def build_ssdp(
 
     # X_11 = 1 in every clique holding vertex 1, then one row per overlap
     pin = np.flatnonzero(inc[:, 1])
-    ov = _int_rows(sorted(u.entries), len(u.entries), 4)
+    ov = np.array(sorted(u.entries), dtype=np.intp).reshape(-1, 4)
     oi, oj, oa, ob = ov.T
     rows = pin.size + np.arange(ov.shape[0])
     prog.add_rows(
@@ -143,21 +131,22 @@ def build_fsdp(data: HomogenizedData) -> ConicProgram:
 # -- SOCP relaxations --------------------------------------------------------
 
 
+def _metadata(data, P, isolated, kind):
+    pairs = list(zip(P[:, 0].tolist(), P[:, 1].tolist()))
+    return {"kind": kind, "dim": data.dim, "m": data.m, "pairs": pairs, "isolated": sorted(isolated)}
+
+
 def _build_socp(data: HomogenizedData, pairs, isolated, kind):
+    """The SOCP relaxation with one 2x2 minor per pair; `pairs` lists pairs i < j in sorted order."""
     N = data.dim
-    pairs = sorted(pairs)
-    isolated = sorted(isolated)
-    prog = ConicProgram(
-        "min",
-        {"kind": kind, "dim": N, "m": data.m, "pairs": pairs, "isolated": isolated},
-    )
+    P = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    prog = ConicProgram("min", _metadata(data, P, isolated, kind))
     # diagonal nonnegativity is implied by the minors for covered vertices
     # and required at isolated ones; declaring all of them nonneg keeps the
     # solution set and avoids free-variable splitting in the (P) lowering
-    n = len(pairs)
+    n = len(P)
     d = prog.add_var_block(("d",), "nonneg", 1, N).start - 1  # X_ii at d + i
     o = prog.add_var_block(("off",), "free", n).start  # X_ij of the k-th pair at o + k
-    P = _int_rows(pairs, n, 2)
     di, dj, off = d + P[:, 0], d + P[:, 1], o + np.arange(n)
 
     # pair k: soc rows 3k..3k+2 = ((X_ii + X_jj)/2, (X_ii - X_jj)/2, X_ij)
@@ -167,12 +156,12 @@ def _build_socp(data: HomogenizedData, pairs, isolated, kind):
         np.column_stack([di, dj, di, dj, off]).ravel(),
         np.tile([0.5, 0.5, 0.5, -0.5, 1.0], n),
         np.zeros(3 * n),
-        [3] * n,
+        np.full(n, 3),
     )
 
     def terms(mats):
         """(k, col, val) of Q . X for each Q in mats: 2 Q_ij on each off-diagonal."""
-        k, i, j, v = _entries(mats)
+        k, i, j, v = stack_entries(mats)
         col, two = d + i, i != j
         col[two] = o + _pair_index(N, P, i[two], j[two])
         return k, col, np.where(two, 2.0 * v, v)
@@ -189,14 +178,17 @@ def build_fsocp(data: HomogenizedData) -> ConicProgram:
 
 
 def build_ssocp(data: HomogenizedData, pattern: AggregatePattern) -> ConicProgram:
-    _check_pattern(data, pattern)
-    return _build_socp(data, sorted(pattern.edges), sorted(pattern.isolated), "ssocp")
+    return _build_socp(data, _pattern_pairs(data, pattern), pattern.isolated, "ssocp")
 
 
-def _check_pattern(data, pattern):
-    actual = aggregate_pattern(data)
-    if pattern.edges != actual.edges or pattern.dim != actual.dim:
+def _pattern_pairs(data, pattern) -> np.ndarray:
+    """The pattern's edges as a sorted (n, 2) array; they must be the data's aggregate pattern."""
+    P = aggregate_pairs(data)
+    if pattern.dim != data.dim or len(pattern.edges) != len(P) or not pattern.edges.issuperset(
+        zip(P[:, 0].tolist(), P[:, 1].tolist())
+    ):
         raise BuildError("pattern does not match the aggregate pattern of the data")
+    return P
 
 
 # -- dual SOCPs ---------------------------------------------------------------
@@ -208,25 +200,21 @@ def _build_dual(data: HomogenizedData, pairs, isolated, kind):
     W^{ij} = [[p, r], [r, s]] is carried as the SecondOrder(3) variable
     (h, g, r) with p = h + g, s = h - g; w_i appears only at isolated
     vertices.  The matrix equality is written entrywise over the
-    positions that can be nonzero.
+    positions that can be nonzero.  `pairs` lists pairs i < j in sorted
+    order.
     """
     N = data.dim
-    pairs = sorted(pairs)
-    isolated = sorted(isolated)
-    prog = ConicProgram(
-        "max",
-        {"kind": kind, "dim": N, "m": data.m, "pairs": pairs, "isolated": isolated},
-    )
-    m, n = data.m, len(pairs)
+    P = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    prog = ConicProgram("max", _metadata(data, P, isolated, kind))
+    m, n = data.m, len(P)
     y = prog.add_var_block(("y",), "nonneg", m).start - 1  # y_k at y + k
     xi = prog.add_var_block(("xi",), "free", 1).start
     W = prog.add_var_block(("W",), "soc", 3, n).start + 3 * np.arange(n)  # (h, g, r) per pair
-    iso = np.array(isolated, dtype=np.intp)
+    iso = np.array(prog.metadata["isolated"], dtype=np.intp)
     w = prog.add_var_block(("w",), "nonneg", iso.size).start + np.arange(iso.size)
-    P = _int_rows(pairs, n, 2)
 
     # rows: position (i, i) at i - 1, the k-th pair at N + k
-    k, i, j, v = _entries((*data.Q, data.H0))
+    k, i, j, v = stack_entries((*data.Q, data.H0))
     row = i - 1
     row[i != j] = N + _pair_index(N, P, i[i != j], j[i != j])
     # Q_0 is the constant: lhs coefficients + const = cone terms, moved to
@@ -257,8 +245,7 @@ def build_dual_fsocp(data: HomogenizedData) -> ConicProgram:
 
 
 def build_dual_ssocp(data: HomogenizedData, pattern: AggregatePattern) -> ConicProgram:
-    _check_pattern(data, pattern)
-    return _build_dual(data, sorted(pattern.edges), sorted(pattern.isolated), "dual_ssocp")
+    return _build_dual(data, _pattern_pairs(data, pattern), pattern.isolated, "dual_ssocp")
 
 
 # -- extraction ---------------------------------------------------------------

@@ -55,16 +55,15 @@ class ZeroDiagSpec:
 
 def lattice_edges(n_l: int):
     """Edges of the n_l x n_l lattice graph on vertices 1..n_l^2."""
-    edges = set()
-    for il in range(1, n_l + 1):
-        for jl in range(1, n_l):  # horizontal
-            a = (il - 1) * n_l + jl
-            edges.add((a, a + 1))
-    for il in range(1, n_l):  # vertical
-        for jl in range(1, n_l + 1):
-            a = (il - 1) * n_l + jl
-            edges.add((a, a + n_l))
-    return edges
+    return set(zip(*(e.tolist() for e in _lattice_edge_arrays(n_l))))
+
+
+def _lattice_edge_arrays(n_l: int):
+    """(i, j): the lattice edges as sorted arrays, each vertex's right then lower neighbour."""
+    a = np.arange(1, n_l * n_l + 1)
+    b = np.stack([a + 1, a + n_l], axis=1)
+    ok = np.stack([a % n_l != 0, a <= n_l * (n_l - 1)], axis=1)
+    return np.broadcast_to(a[:, None], b.shape)[ok], b[ok]
 
 
 def gen_lattice(spec: LatticeSpec) -> QcqpInstance:
@@ -76,24 +75,21 @@ def gen_lattice(spec: LatticeSpec) -> QcqpInstance:
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = spec.n
-    edges = sorted(lattice_edges(spec.n_L))
+    ei, ej = _lattice_edge_arrays(spec.n_L)
+    diag = np.arange(1, n + 1)
+    rows, cols = np.concatenate([ei, diag]), np.concatenate([ej, diag])
     zeros = np.zeros(n)
 
     def edge_matrix():
-        entries = {}
-        for (i, j) in edges:
-            entries[(i, j)] = rng.uniform(-1.0, 0.0)
-        for i in range(1, n + 1):
-            entries[(i, i)] = rng.uniform(-1.0, 1.0)
-        return SparseSymMatrix(n, entries)
+        vals = np.concatenate([rng.uniform(-1.0, 0.0, ei.size), rng.uniform(-1.0, 1.0, n)])
+        return SparseSymMatrix.from_arrays(n, rows, cols, vals)
 
     p0 = edge_matrix()
     constraints = []
     for k in range(1, spec.m + 1):
         if k == 1:
             # uniform over (0, 1]: flip the half-open side of uniform()
-            entries = {(i, i): 1.0 - rng.uniform(0.0, 1.0) for i in range(1, n + 1)}
-            pk = SparseSymMatrix(n, entries)
+            pk = SparseSymMatrix.from_arrays(n, diag, diag, 1.0 - rng.uniform(0.0, 1.0, n))
         else:
             pk = edge_matrix()
         rk = rng.uniform(-1.0, -0.1)
@@ -115,16 +111,17 @@ def gen_zero_diag(spec: ZeroDiagSpec) -> QcqpInstance:
     n = spec.n
     zeros = np.zeros(n)
 
-    all_pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    pool_size = max(1, int(round(spec.density * len(all_pairs))))
-    pool_idx = rng.choice(len(all_pairs), size=pool_size, replace=False)
-    pool = [all_pairs[i] for i in sorted(pool_idx)]
+    all_i, all_j = np.triu_indices(n, 1)  # the pairs i < j in row order, 0-based
+    pool_size = max(1, int(round(spec.density * all_i.size)))
+    pool_idx = np.sort(rng.choice(all_i.size, size=pool_size, replace=False))
+    pool_i, pool_j = (all_i[pool_idx] + 1).tolist(), (all_j[pool_idx] + 1).tolist()
 
     n_pairs = (spec.m + 1) // 2
     constraints = []
     pinned_pairs = []
     for _ in range(n_pairs):
-        i, j = pool[int(rng.integers(len(pool)))]
+        p = int(rng.integers(pool_size))
+        i, j = pool_i[p], pool_j[p]
         t = int(rng.integers(1, n + 1))
         coef = rng.uniform(0.5, 1.5)
         # coef * x_i x_j - x_t <= 0  and  x_t - coef * x_i x_j <= 0
@@ -149,9 +146,7 @@ def gen_zero_diag(spec: ZeroDiagSpec) -> QcqpInstance:
         hi[i - 1] = 0.5  # x_i - 1 <= 0
         constraints.append((p_zero, hi, -1.0))
 
-    obj_entries = {}
-    for (i, j) in sorted(set(pinned_pairs)):
-        obj_entries[(i, j)] = rng.uniform(-1.0, 1.0)
+    obj_i, obj_j = np.array(sorted(set(pinned_pairs)), dtype=np.intp).reshape(-1, 2).T
+    p0 = SparseSymMatrix.from_arrays(n, obj_i, obj_j, rng.uniform(-1.0, 1.0, obj_i.size))
     q0 = rng.uniform(-1.0, 1.0, size=n)
-    p0 = SparseSymMatrix(n, obj_entries)
     return QcqpInstance(n, (p0, q0, 0.0), tuple(constraints))

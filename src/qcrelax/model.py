@@ -71,37 +71,48 @@ class AggregatePattern:
     isolated: frozenset  # vertices incident to no edge
 
     def __post_init__(self):
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.dim):
-                raise ValueError(f"bad edge ({i},{j}) for dim {self.dim}")
+        e = np.array(list(self.edges), dtype=np.intp).reshape(len(self.edges), 2)
+        bad = np.flatnonzero((e[:, 0] < 1) | (e[:, 0] >= e[:, 1]) | (e[:, 1] > self.dim))
+        if bad.size:
+            i, j = e[bad[0]]
+            raise ValueError(f"bad edge ({i},{j}) for dim {self.dim}")
 
 
 def homogenize(instance: QcqpInstance) -> HomogenizedData:
-    """Lift (Pk, qk, rk) into Qk = [[rk, qk'], [qk, Pk]] over dim n+1."""
+    """Lift (Pk, qk, rk) into Qk = [[rk, qk'], [qk, Pk]] over dim n+1.
+
+    The entries of Qk are rk at (1, 1), then the nonzeros of qk in row 1,
+    then the entries of Pk shifted by one, each part in its own order.
+    """
     n = instance.n
     qs = []
     for pk, qk, rk in instance.data():
-        entries = {}
-        if abs(rk) > 0:
-            entries[(1, 1)] = rk
-        for j in range(n):
-            if qk[j] != 0.0:
-                entries[(1, j + 2)] = qk[j]
-        for (i, j), v in pk.entries.items():
-            entries[(i + 1, j + 1)] = v
-        qs.append(SparseSymMatrix(n + 1, entries))
+        r = np.array([rk] if abs(rk) > 0 else [])
+        nz = np.flatnonzero(qk)
+        head = np.ones(r.size + nz.size, dtype=np.intp)
+        rows = np.concatenate([head, pk.rows + 1])
+        cols = np.concatenate([head[: r.size], nz + 2, pk.cols + 1])
+        qs.append(SparseSymMatrix.from_arrays(n + 1, rows, cols, np.concatenate([r, qk[nz], pk.vals])))
     h0 = SparseSymMatrix(n + 1, {(1, 1): 1.0})
     return HomogenizedData(n + 1, tuple(qs), h0)
 
 
+def aggregate_pairs(data: HomogenizedData) -> np.ndarray:
+    """The aggregate pattern as a sorted (edges, 2) array of pairs i < j."""
+    N = data.dim
+    # a sort and a mask: np.unique without return_inverse hashes, several times slower
+    keys = np.sort(np.concatenate([(q.rows * (N + 1) + q.cols)[q.rows != q.cols] for q in data.Q]))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+    return np.stack(np.divmod(keys, N + 1), axis=1)
+
+
 def aggregate_pattern(data: HomogenizedData) -> AggregatePattern:
     """Union of the off-diagonal supports of Q0..Qm (diagonals never count)."""
-    edges = set()
-    for qk in data.Q:
-        edges |= qk.offdiag_support()
-    touched = {v for e in edges for v in e}
-    isolated = frozenset(range(1, data.dim + 1)) - touched
-    return AggregatePattern(data.dim, frozenset(edges), isolated)
+    i, j = aggregate_pairs(data).T
+    touched = np.zeros(data.dim + 1, dtype=bool)
+    touched[i] = touched[j] = True
+    isolated = frozenset((np.flatnonzero(~touched[1:]) + 1).tolist())
+    return AggregatePattern(data.dim, frozenset(zip(i.tolist(), j.tolist())), isolated)
 
 
 # -- JSON instance schema ---------------------------------------------------
@@ -114,16 +125,18 @@ def aggregate_pattern(data: HomogenizedData) -> AggregatePattern:
 
 
 def _triple_to_matrix(trips, n):
-    return SparseSymMatrix(n, {(int(i), int(j)): float(v) for i, j, v in trips})
+    t = np.array(trips, dtype=float).reshape(len(trips), 3)
+    return SparseSymMatrix.from_arrays(n, t[:, 0], t[:, 1], t[:, 2])
 
 
 def _matrix_to_triples(p: SparseSymMatrix):
-    return [[i, j, v] for (i, j), v in sorted(p.entries.items())]
+    o = np.lexsort((p.cols, p.rows))
+    return list(map(list, zip(p.rows[o].tolist(), p.cols[o].tolist(), p.vals[o].tolist())))
 
 
 def instance_to_dict(inst: QcqpInstance) -> dict:
     def block(p, q, r):
-        return {"P": _matrix_to_triples(p), "q": list(map(float, q)), "r": float(r)}
+        return {"P": _matrix_to_triples(p), "q": q.tolist(), "r": float(r)}
 
     return {
         "n": inst.n,

@@ -161,9 +161,14 @@ class ConicProgram:
         self.num_vars = 0
         # per section: chunks (row, col, val, rhs), rows counted inside the chunk
         self.chunks: dict[str, list[tuple]] = {kind: [] for kind in self.SECTIONS}
-        self.soc_dims: list[int] = []  # the soc rows, in order, split into cones
+        self._soc_dims: list[np.ndarray] = []  # per soc chunk, the dimensions of its cones
         self.objective: dict = {}
         self.objective_const = 0.0
+
+    @property
+    def soc_dims(self) -> np.ndarray:
+        """The soc rows, in order, split into cones: the dimension of each cone."""
+        return np.concatenate([np.zeros(0, dtype=np.intp), *self._soc_dims])
 
     def add_var_block(self, key, kind, dim, count=1) -> VarBlock:
         """Declare `count` cones of kind `kind` and dimension `dim` (psd: side) under `key`."""
@@ -214,10 +219,10 @@ class ConicProgram:
         if col.size and not (0 <= col.min() and col.max() < self.num_vars):
             raise ValueError(f"column index out of range for {self.num_vars} variables")
         if kind == "soc":
-            dims = np.asarray(() if soc_dims is None else soc_dims, dtype=np.intp)
+            dims = np.array(() if soc_dims is None else soc_dims, dtype=np.intp)
             if dims.ndim != 1 or dims.sum() != rhs.size or (dims < 2).any():
                 raise ValueError("soc constraint needs matching rows/consts, dim >= 2")
-            self.soc_dims += dims.tolist()
+            self._soc_dims.append(dims)
         elif soc_dims is not None:
             raise ValueError(f"soc_dims given for section {kind!r}")
         self.chunks[kind].append((row, col, val, rhs))
@@ -331,7 +336,7 @@ def _soc_and_slack_blocks(prog: ConicProgram) -> list:
 
     The soc blocks are listed by runs of equal dimension, one cache lookup per run.
     """
-    dims = np.asarray(prog.soc_dims, dtype=int)
+    dims = prog.soc_dims
     first = np.flatnonzero(np.diff(dims, prepend=-1))  # where each run starts
     runs = np.diff(first, append=dims.size)
     K = []

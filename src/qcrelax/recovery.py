@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import AggregatePattern, HomogenizedData
+from .sparsemat import stack_entries
 
 
 class RecoveryError(ValueError):
@@ -76,13 +77,31 @@ def aggregate_matrix(d: DualSolution, dim: int) -> np.ndarray:
 
 
 def dual_residual(d: DualSolution, data: HomogenizedData) -> float:
-    """Max-abs violation of the dual matrix identity."""
+    """Max-abs violation of the dual matrix identity.
+
+    Works on the stored positions only.  Each position sums its terms in
+    the order of the dense form, Q_0 + y_1 Q_1 + ... + y_m Q_m - xi H_0
+    against the W blocks in dict order and then w (`np.bincount` adds its
+    weights in input order), so the value is the dense one bit for bit.
+    """
     N = data.dim
-    lhs = data.Q[0].to_dense()
-    for k in range(1, len(data.Q)):
-        lhs = lhs + d.y[k - 1] * data.Q[k].to_dense()
-    lhs = lhs - d.xi * data.H0.to_dense()
-    return float(np.abs(lhs - aggregate_matrix(d, N)).max())
+    coef = np.concatenate([[1.0], d.y[np.arange(data.m)], [-d.xi]])
+    if not np.isfinite(coef).all():
+        return float("nan")  # as the dense form, where inf * 0 is nan
+    k, i, j, v = stack_entries((*data.Q, data.H0))
+    ab = np.array(list(d.W), dtype=np.intp).reshape(len(d.W), 2)
+    blk = np.array(list(d.W.values()), dtype=float).reshape(len(d.W), 4)
+    iso = np.array(list(d.w), dtype=np.intp)
+    # W^{ab} adds to (a, a), (b, b) and (a, b), block after block; then w_i to (i, i)
+    si = np.concatenate([ab[:, [0, 1, 0]].ravel(), iso])
+    sj = np.concatenate([ab[:, [0, 1, 1]].ravel(), iso])
+    sv = np.concatenate([blk[:, [0, 3, 1]].ravel(), np.fromiter(d.w.values(), float, iso.size)])
+    keys, pos = np.unique(np.concatenate([i, si]) * (N + 1) + np.concatenate([j, sj]), return_inverse=True)
+    if not keys.size:
+        return 0.0
+    lhs = np.bincount(pos[: i.size], weights=coef[k] * v, minlength=keys.size)
+    S = np.bincount(pos[i.size :], weights=sv, minlength=keys.size)
+    return float(np.abs(lhs - S).max())
 
 
 def sparse_to_full(d: DualSolution, pattern: AggregatePattern) -> DualSolution:

@@ -652,7 +652,7 @@ def dense_rows(spec, kind):
 @given(row_programs())
 def test_bulk_chunks_lower_like_one_dict_per_row(spec):
     mixed, dicts = make_row_program(spec, bulk=True), make_row_program(spec, bulk=False)
-    assert mixed.soc_dims == dicts.soc_dims
+    assert np.array_equal(mixed.soc_dims, dicts.soc_dims)
     got, want = _row_matrices(mixed), _row_matrices(dicts)
     for kind, (M, W) in zip(ConicProgram.SECTIONS, zip(got[0:6:2], want[0:6:2])):
         assert csr_bytes(M) == csr_bytes(W)
@@ -700,7 +700,7 @@ def test_add_rows_rejects_bad_chunks():
     with pytest.raises(ValueError):
         prog.add_soc_constraint([{0: 1.0}, {1: 1.0}], [0.0])
     # a rejected chunk leaves the program as it was
-    assert prog.num_rows("eq") == 2 and prog.num_rows("soc") == 0 and prog.soc_dims == []
+    assert prog.num_rows("eq") == 2 and prog.num_rows("soc") == 0 and prog.soc_dims.size == 0
     assert prog.num_rows("ineq") == 0
 
 

@@ -136,3 +136,48 @@ def test_end_to_end_lattice_dual():
     assert f.xi == xi  # bitwise
     assert dual_residual(f, data) <= 1e-8
     assert program_objective(sf, sol) == pytest.approx(xi)
+
+
+# -- the sparse dual residual against the dense form it replaced --------------
+
+
+def dense_dual_residual(d, data):
+    """max |Q_0 + sum_k y_k Q_k - xi H_0 - sum W - sum w| over the n x n matrices."""
+    lhs = data.Q[0].to_dense()
+    for k in range(1, len(data.Q)):
+        lhs = lhs + d.y[k - 1] * data.Q[k].to_dense()
+    lhs = lhs - d.xi * data.H0.to_dense()
+    return float(np.abs(lhs - aggregate_matrix(d, data.dim)).max())
+
+
+def test_dual_residual_matches_the_dense_form_on_solved_duals():
+    for n_l, seed in ((3, 0), (4, 1), (5, 2)):
+        data = homogenize(gen_lattice(LatticeSpec(n_l, 5, seed)))
+        pat = aggregate_pattern(data)
+        prog = build_dual_ssocp(data, pat)
+        sf = to_standard_form(prog, "P")
+        sol = solve(sf, SolverConfig())
+        d = DualSolution(*extract_dual_parts(prog, variable_values(sf, sol)))
+        f = sparse_to_full(d, pat)
+        for dual in (d, f, full_to_sparse(f, pat)):
+            assert dual_residual(dual, data) == dense_dual_residual(dual, data)
+        assert dual_residual(f, data) == dual_residual(d, data)
+
+
+def test_dual_residual_matches_the_dense_form_on_random_duals():
+    rng = np.random.default_rng(7)
+    data = homogenize(gen_lattice(LatticeSpec(4, 6, 3)))
+    N = data.dim
+    pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+    for trial in range(20):
+        pick = rng.choice(len(pairs), size=rng.integers(0, 40), replace=False)
+        W = {pairs[p]: rng.standard_normal((2, 2)) for p in pick}
+        w = {int(i): float(rng.standard_normal()) for i in rng.choice(np.arange(1, N + 1), 3)}
+        d = DualSolution(rng.standard_normal(data.m), float(rng.standard_normal()), W, w)
+        assert dual_residual(d, data) == dense_dual_residual(d, data)
+    # no stored position at all, and a non-finite multiplier
+    empty = HomogenizedData(2, (SparseSymMatrix(2, {}),), SparseSymMatrix(2, {}))
+    assert dual_residual(DualSolution([], 0.0, {}), empty) == 0.0
+    d = DualSolution(np.full(data.m, np.inf), 0.0, {})
+    with np.errstate(invalid="ignore"):  # inf * 0 off the support
+        assert np.isnan(dual_residual(d, data)) and np.isnan(dense_dual_residual(d, data))
