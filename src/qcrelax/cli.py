@@ -1,9 +1,14 @@
 """Command-line driver: generate instances, solve relaxations, compare.
 
-Exit codes: 0 success, 1 solve failure, 2 usage error; a usage error is
-reported, as an `error:` line on stderr, before anything is solved.  The
-default solver tolerance can be overridden with the CONIC_SOLVER_TOL
-environment variable or the --tol flag (the flag wins).
+Exit codes: 0 success, 1 solve failure or input error, 2 usage error.  An
+input error (an instance that cannot be loaded or used, or an output that
+cannot be written) ends any subcommand with one `error:` line on stderr,
+after whatever the command printed before it; `compare` instead skips an
+instance it cannot load, or a relaxation that fails on it, with a warning.
+A usage error, such as `--compact` without `--emit-completion`, is reported
+the same way before anything is solved.  A name repeated in `compare --relax`
+counts once.  The default solver tolerance can be overridden with the
+CONIC_SOLVER_TOL environment variable or the --tol flag (the flag wins).
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import build
 from .chordal import chordal_parts
@@ -35,17 +38,46 @@ from .program import (
 )
 from .solver import SolverConfig, solve
 
-RELAXATIONS = ("fsdp", "ssdp", "fsocp", "ssocp", "dual-fsocp", "dual-ssocp")
+#: each relaxation's builder, called as builder(data, pattern)
+BUILDERS = {
+    "fsdp": lambda data, pattern: build.build_fsdp(data),
+    "ssdp": lambda data, pattern: build.build_ssdp(data, *chordal_parts(pattern)),
+    "fsocp": lambda data, pattern: build.build_fsocp(data),
+    "ssocp": build.build_ssocp,
+    "dual-fsocp": lambda data, pattern: build.build_dual_fsocp(data),
+    "dual-ssocp": build.build_dual_ssocp,
+}
+RELAXATIONS = tuple(BUILDERS)
 
-#: what a missing, unreadable or unusable instance raises on its way to a
-#: solve: IO errors, and the ValueError subclasses of loading, building and
+#: what a missing, unreadable or unusable instance or an unwritable output
+#: raises: IO errors, and the ValueError subclasses of loading, building and
 #: lowering (MalformedInstanceError, BuildError, LoweringError, ...)
 INPUT_ERRORS = (OSError, ValueError)
 
-CSV_HEADER = (
-    "instance,relaxation,form,status,variables,constraints,"
-    "nonneg,soc,psd,free,iterations,wall_time_s,objective,pres,dres,gap"
+#: the columns of a run record's CSV row, in order, each with the format of
+#: its value; the cone counts and residuals are read from their sub-records,
+#: and a value that is missing or None (no objective) is written empty
+COLUMNS = (
+    ("instance", "{}"),
+    ("relaxation", "{}"),
+    ("form", "{}"),
+    ("status", "{}"),
+    ("variables", "{}"),
+    ("constraints", "{}"),
+    ("nonneg", "{}"),
+    ("soc", "{}"),
+    ("psd", "{}"),
+    ("free", "{}"),
+    ("iterations", "{}"),
+    ("wall_time_s", "{:.4f}"),
+    ("objective", "{:.10g}"),
+    ("pres", "{:.3e}"),
+    ("dres", "{:.3e}"),
+    ("gap", "{:.3e}"),
 )
+CSV_HEADER = ",".join(col for col, _ in COLUMNS)
+#: the columns of a `compare` table: a record's, then the comparison's
+COMPARE_COLUMNS = COLUMNS + (("agreement", "{}"), ("fsocp_ssocp_time_ratio", "{:.2f}"))
 
 
 class UsageError(Exception):
@@ -53,43 +85,27 @@ class UsageError(Exception):
 
 
 def _solver_config(args) -> SolverConfig:
-    env = os.environ.get("CONIC_SOLVER_TOL")
+    tol = os.environ.get("CONIC_SOLVER_TOL", 1e-8) if args.tol is None else args.tol
     try:
-        if args.tol is not None:
-            tol = args.tol
-        else:
-            tol = 1e-8 if env is None else float(env)
+        tol = float(tol)
         return SolverConfig(tol_gap=tol, tol_primal=tol, tol_dual=tol)
     except ValueError as exc:
         raise UsageError(f"invalid solver tolerance: {exc}") from None
 
 
-def _build_relaxation(name, data, pattern):
-    if name == "fsdp":
-        return build.build_fsdp(data)
-    if name == "ssdp":
-        return build.build_ssdp(data, *chordal_parts(pattern))
-    if name == "fsocp":
-        return build.build_fsocp(data)
-    if name == "ssocp":
-        return build.build_ssocp(data, pattern)
-    if name == "dual-fsocp":
-        return build.build_dual_fsocp(data)
-    if name == "dual-ssocp":
-        return build.build_dual_ssocp(data, pattern)
-    raise ValueError(f"unknown relaxation {name!r}")
-
-
-def _run_one(inst, name, relax, form, cfg):
-    """Solve one relaxation of a loaded instance; its record is labelled `name`."""
+def _prepare(inst):
+    """The homogenized data of an instance and its aggregate sparsity pattern."""
     data = homogenize(inst)
-    pattern = aggregate_pattern(data)
-    prog = _build_relaxation(relax, data, pattern)
+    return data, aggregate_pattern(data)
+
+
+def _run_one(data, pattern, name, relax, form, cfg):
+    """Solve one relaxation of prepared data; its record is labelled `name`."""
+    prog = BUILDERS[relax](data, pattern)
     sf = to_standard_form(prog, form)
     t0 = time.perf_counter()
     sol = solve(sf, cfg)
     wall = time.perf_counter() - t0
-    inv = prog.cone_inventory()
     rec = {
         "instance": name,
         "relaxation": relax,
@@ -97,7 +113,7 @@ def _run_one(inst, name, relax, form, cfg):
         "status": sol.status,
         "variables": prog.num_vars,
         "constraints": prog.num_rows("eq") + prog.num_rows("ineq") + len(prog.soc_dims),
-        "cones": inv,
+        "cones": prog.cone_inventory(),
         "iterations": sol.iterations,
         "wall_time_s": round(wall, 4),
         "objective": program_objective(sf, sol) if sol.status == "Optimal" else None,
@@ -110,30 +126,10 @@ def _run_one(inst, name, relax, form, cfg):
     return rec, prog, sf, sol
 
 
-def _record_csv(rec) -> str:
-    inv = rec["cones"]
-    obj = "" if rec["objective"] is None else f"{rec['objective']:.10g}"
-    r = rec["residuals"]
-    return ",".join(
-        [
-            rec["instance"],
-            rec["relaxation"],
-            rec["form"],
-            rec["status"],
-            str(rec["variables"]),
-            str(rec["constraints"]),
-            str(inv["nonneg"]),
-            str(inv["soc"]),
-            str(inv["psd"]),
-            str(inv["free"]),
-            str(rec["iterations"]),
-            f"{rec['wall_time_s']:.4f}",
-            obj,
-            f"{r['pres']:.3e}",
-            f"{r['dres']:.3e}",
-            f"{r['gap']:.3e}",
-        ]
-    )
+def _record_fields(rec, columns=COLUMNS) -> list:
+    """The fields of a run record, one per entry of `columns`."""
+    flat = {**rec, **rec["cones"], **rec["residuals"]}
+    return ["" if flat.get(col) is None else fmt.format(flat[col]) for col, fmt in columns]
 
 
 def cmd_generate(args) -> int:
@@ -169,16 +165,14 @@ def _emit_completion(prog, sf, sol, path, compact):
 def cmd_solve(args) -> int:
     if args.emit_completion and args.relax != "ssocp":
         raise UsageError("--emit-completion requires --relax ssocp")
+    if args.compact and not args.emit_completion:
+        raise UsageError("--compact requires --emit-completion")
     cfg = _solver_config(args)
-    try:
-        inst = load_instance(args.instance)
-        rec, prog, sf, sol = _run_one(inst, args.instance, args.relax, args.form, cfg)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data, pattern = _prepare(load_instance(args.instance))
+    rec, prog, sf, sol = _run_one(data, pattern, args.instance, args.relax, args.form, cfg)
     if args.csv:
         print(CSV_HEADER)
-        print(_record_csv(rec))
+        print(",".join(_record_fields(rec)))
     else:
         print(json.dumps(rec))
     if args.emit_completion:
@@ -187,11 +181,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    relaxations = [r.strip() for r in args.relax.split(",") if r.strip()]
+    # each name once, in first-seen order
+    relaxations = list(dict.fromkeys(r.strip() for r in args.relax.split(",") if r.strip()))
     if not relaxations:
         raise UsageError("empty relaxation list")
     for r in relaxations:
-        if r not in RELAXATIONS:
+        if r not in BUILDERS:
             raise UsageError(f"unknown relaxation {r!r}")
     sizes = args.sweep_nl.split(",") if args.sweep_nl else []
     try:
@@ -202,103 +197,77 @@ def cmd_compare(args) -> int:
         raise UsageError("no instances given (pass files or --sweep-nl)")
     cfg = _solver_config(args)
 
-    text, statuses = _compare_table(
-        _compare_instances(args.instances, sweep), relaxations, args.form, cfg, args.out
-    )
+    recs = _compare_table(_compare_instances(args.instances, sweep), relaxations, args.form, cfg)
+    text = _render(recs, markdown=bool(args.out) and args.out.endswith(".md"))
     # a table with no row, or with a row that is not Optimal, is a solve failure
-    rc = 0 if statuses and all(st == "Optimal" for st in statuses) else 1
+    rc = 0 if recs and all(rec["status"] == "Optimal" for rec in recs) else 1
     if not args.out:
         sys.stdout.write(text)
         return rc
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {args.out} ({len(statuses)} rows)")
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    print(f"wrote {args.out} ({len(recs)} rows)")
     return rc
 
 
 def _compare_instances(paths, sweep):
-    """(label, instance) pairs: each file, loaded once, then each swept lattice.
+    """(label, data, pattern) triples: each file, then each swept lattice, prepared once.
 
     A file that cannot be loaded is skipped with a warning.
     """
     for path in paths:
         try:
-            yield path, load_instance(path)
+            yield path, *_prepare(load_instance(path))
         except INPUT_ERRORS as exc:
             print(f"warning: cannot load {path}: {exc}", file=sys.stderr)
     for spec in sweep:
-        yield f"lattice-nl{spec.n_L}-m{spec.m}-seed{spec.seed}", gen_lattice(spec)
+        yield f"lattice-nl{spec.n_L}-m{spec.m}-seed{spec.seed}", *_prepare(gen_lattice(spec))
 
 
-def _compare_table(instances, relaxations, form, cfg, out):
-    """The table of (label, instance) pairs as CSV, or Markdown when `out` ends in .md.
-
-    Returns the table's text and the status of each of its rows.
-    """
-    rows, statuses = [], []
-    for name, inst in instances:
+def _compare_table(instances, relaxations, form, cfg):
+    """The records of the comparison table's rows, each with its agreement and time ratio."""
+    rows = []
+    for name, data, pattern in instances:
         recs = {}
         for relax in relaxations:
             try:
-                rec, _, _, _ = _run_one(inst, name, relax, form, cfg)
+                recs[relax], _, _, _ = _run_one(data, pattern, name, relax, form, cfg)
             except INPUT_ERRORS as exc:
                 print(f"warning: {relax} on {name} failed: {exc}", file=sys.stderr)
-                continue
-            recs[relax] = rec
-        objs = [
-            r["objective"] for r in recs.values() if r["objective"] is not None
-        ]
+        objs = [r["objective"] for r in recs.values() if r["objective"] is not None]
         ref = objs[0] if objs else None
-        for relax in relaxations:
-            if relax not in recs:
-                continue
-            rec = recs[relax]
+        for relax, rec in recs.items():
             obj = rec["objective"]
-            if obj is None or ref is None:
-                agree = ""
-            else:
-                agree = "OK" if abs(obj - ref) <= 1e-6 * (1 + abs(ref)) else "DIFF"
-            ratio = ""
-            if (
-                relax == "ssocp"
-                and "fsocp" in recs
-                and rec["wall_time_s"] > 0
-            ):
-                ratio = f"{recs['fsocp']['wall_time_s'] / rec['wall_time_s']:.2f}"
-            rows.append((_record_csv(rec), agree, ratio))
-            statuses.append(rec["status"])
+            if obj is not None and ref is not None:
+                rec["agreement"] = "OK" if abs(obj - ref) <= 1e-6 * (1 + abs(ref)) else "DIFF"
+            if relax == "ssocp" and "fsocp" in recs and rec["wall_time_s"] > 0:
+                rec["fsocp_ssocp_time_ratio"] = recs["fsocp"]["wall_time_s"] / rec["wall_time_s"]
+        rows += recs.values()
+    return rows
 
-    header = CSV_HEADER + ",agreement,fsocp_ssocp_time_ratio"
-    if out and out.endswith(".md"):
-        cols = header.split(",")
-        md = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-        for r, a, t in rows:
-            md.append("| " + " | ".join(r.split(",") + [a, t]) + " |")
-        return "\n".join(md) + "\n", statuses
-    lines = [header] + [f"{r},{a},{t}" for r, a, t in rows]
-    return "\n".join(lines) + "\n", statuses
+
+def _render(recs, markdown):
+    """The comparison table of `recs` as CSV, or as Markdown."""
+    table = [[col for col, _ in COMPARE_COLUMNS]]
+    table += [_record_fields(rec, COMPARE_COLUMNS) for rec in recs]
+    if not markdown:
+        return "".join(",".join(r) + "\n" for r in table)
+    md = ["| " + " | ".join(r) + " |" for r in table]
+    md.insert(1, "|" + "---|" * len(COMPARE_COLUMNS))
+    return "\n".join(md) + "\n"
 
 
 def cmd_export(args) -> int:
     if args.format == "sdpa" and args.relax not in ("fsdp", "ssdp"):
         raise UsageError("sdpa export needs a pure-SDP relaxation")
-    try:
-        data = homogenize(load_instance(args.instance))
-        prog = _build_relaxation(args.relax, data, aggregate_pattern(data))
-        sf = to_standard_form(prog, "P")
-        if args.format == "sdpa":
-            export_sdpa(sf, args.output)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(standard_form_to_json(sf))
-                fh.write("\n")
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    prog = BUILDERS[args.relax](*_prepare(load_instance(args.instance)))
+    sf = to_standard_form(prog, "P")
+    if args.format == "sdpa":
+        export_sdpa(sf, args.output)
+    else:
+        with open(args.output, "w") as fh:
+            fh.write(standard_form_to_json(sf))
+            fh.write("\n")
     print(f"wrote {args.output}")
     return 0
 
@@ -311,34 +280,34 @@ def make_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a random instance")
     gs = g.add_subparsers(dest="family", required=True)
-    gl = gs.add_parser("lattice", help="lattice-structured QCQP")
+    instance_opts = argparse.ArgumentParser(add_help=False)  # shared by both families
+    instance_opts.add_argument("--m", type=int, required=True)
+    instance_opts.add_argument("--seed", type=int, default=0)
+    instance_opts.add_argument("-o", "--output", required=True)
+    gl = gs.add_parser("lattice", parents=[instance_opts], help="lattice-structured QCQP")
     gl.add_argument("--nl", type=int, required=True)
-    gl.add_argument("--m", type=int, required=True)
-    gl.add_argument("--seed", type=int, default=0)
-    gl.add_argument("-o", "--output", required=True)
-    gz = gs.add_parser("zerodiag", help="zero-diagonal QCQP")
+    gz = gs.add_parser("zerodiag", parents=[instance_opts], help="zero-diagonal QCQP")
     gz.add_argument("--n", type=int, required=True)
-    gz.add_argument("--m", type=int, required=True)
     gz.add_argument("--density", type=float, required=True)
-    gz.add_argument("--seed", type=int, default=0)
-    gz.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", help="solve one relaxation")
+    solver_opts = argparse.ArgumentParser(add_help=False)  # shared by solve and compare
+    solver_opts.add_argument("--form", choices=("P", "D"), default="P")
+    solver_opts.add_argument("--tol", type=float, default=None)
+
+    s = sub.add_parser("solve", parents=[solver_opts], help="solve one relaxation")
     s.add_argument("instance")
     s.add_argument("--relax", choices=RELAXATIONS, required=True)
-    s.add_argument("--form", choices=("P", "D"), default="P")
-    s.add_argument("--tol", type=float, default=None)
     s.add_argument("--csv", action="store_true", help="CSV instead of JSON")
     s.add_argument("--emit-completion", metavar="PATH", default=None)
     s.add_argument("--compact", action="store_true", help="upper triangle only")
     s.set_defaults(func=cmd_solve)
 
-    c = sub.add_parser("compare", help="solve several relaxations and tabulate")
+    c = sub.add_parser(
+        "compare", parents=[solver_opts], help="solve several relaxations and tabulate"
+    )
     c.add_argument("instances", nargs="*")
     c.add_argument("--relax", required=True, help="comma-separated list")
-    c.add_argument("--form", choices=("P", "D"), default="P")
-    c.add_argument("--tol", type=float, default=None)
     c.add_argument("--sweep-nl", default=None, help="comma-separated lattice sizes")
     c.add_argument("--m", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
@@ -355,13 +324,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

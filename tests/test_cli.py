@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -299,3 +300,80 @@ def test_export_json(inst, tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert {"A", "b", "c", "cones", "form"} <= set(doc)
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unwritable_output_is_an_input_error_on_every_subcommand(inst, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    gen = ["generate", "lattice", "--nl", "3", "--m", "5", "-o", str(missing / "x.json")]
+    assert main(gen) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+
+    assert main(["export", str(inst), "--relax", "ssocp", "-o", str(missing / "p.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+
+    argv = ["solve", str(inst), "--relax", "ssocp", "--emit-completion", str(missing / "c.json")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "Optimal"  # the run record still comes first
+    assert _one_error_line(err)
+
+
+def test_unwritable_output_ends_without_a_traceback(tmp_path):
+    import subprocess
+    import sys
+
+    import qcrelax
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qcrelax.__file__))}
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    argv = ["generate", "lattice", "--nl", "3", "--m", "5", "-o", out]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcrelax.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "" and _one_error_line(proc.stderr)
+
+
+def test_compare_takes_a_repeated_relaxation_once(inst, tmp_path, monkeypatch):
+    from qcrelax import cli
+
+    calls = []
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda sf, cfg: calls.append(sf) or solve(sf, cfg))
+    out = tmp_path / "table.csv"
+    argv = ["compare", str(inst), "--relax", "ssocp,fsocp,ssocp", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 2
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["ssocp", "fsocp"]
+
+
+def test_compact_without_emit_completion_is_usage_error(inst, monkeypatch, capsys):
+    from qcrelax import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda sf, cfg: calls.append(sf))
+    assert main(["solve", str(inst), "--relax", "ssocp", "--compact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and _one_error_line(err)
+    assert calls == []
+
+
+def test_compare_homogenizes_each_instance_once(inst, tmp_path, monkeypatch):
+    from qcrelax import cli
+
+    calls = []
+    homogenize = cli.homogenize
+    monkeypatch.setattr(cli, "homogenize", lambda i: calls.append(i) or homogenize(i))
+    out = tmp_path / "table.csv"
+    argv = ["compare", str(inst), "--sweep-nl", "3", "--m", "3", "--relax", "fsocp,ssocp,ssdp"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(calls) == 2
+    assert len(out.read_text().strip().splitlines()) == 1 + 2 * 3
